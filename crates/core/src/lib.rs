@@ -110,14 +110,14 @@ impl Compiler {
         // Layer 1 — lower: AST → three-address AST (type promotion,
         // constant enclosures, temporaries) plus detected reduction
         // groups.
-        let (lowered, warnings, reduction_groups, intrinsics_used) = {
+        let (lowered, warnings, reduction_groups, intrinsics_used, temp_prefix) = {
             let _span = igen_telemetry::span("compile.lower");
             lower::lower_unit(tu, &self.cfg)?
         };
         // Layer 2 — optimize: typed IR through the pass pipeline.
         let mut ir = {
             let _span = igen_telemetry::span("compile.build_ir");
-            igen_ir::build_unit(&lowered)
+            igen_ir::build_unit_with_prefix(&lowered, &temp_prefix)
         };
         let mut ctx = opt::PassCtx {
             cfg: &self.cfg,

@@ -113,6 +113,9 @@ pub(crate) struct Xform<'c> {
     cfg: &'c Config,
     scopes: Vec<HashMap<String, VarInfo>>,
     tmp: u32,
+    /// Name prefix of the temporaries (`t` unless a source name would
+    /// collide; see `igen_ir::temp_prefix`).
+    tmp_prefix: String,
     warnings: Vec<String>,
     /// Detected reduction groups, one per re-emitted pragma marker, in
     /// marker (textual) order. Consumed by the IR reduction pass.
@@ -124,11 +127,12 @@ pub(crate) struct Xform<'c> {
 }
 
 impl<'c> Xform<'c> {
-    pub(crate) fn new(cfg: &'c Config) -> Xform<'c> {
+    pub(crate) fn new(cfg: &'c Config, tmp_prefix: &str) -> Xform<'c> {
         Xform {
             cfg,
             scopes: vec![HashMap::new()],
             tmp: 0,
+            tmp_prefix: tmp_prefix.to_string(),
             warnings: Vec::new(),
             reduction_groups: Vec::new(),
             intrinsics: Vec::new(),
@@ -144,7 +148,7 @@ impl<'c> Xform<'c> {
 
     fn fresh_tmp(&mut self) -> String {
         self.tmp += 1;
-        format!("t{}", self.tmp)
+        format!("{}{}", self.tmp_prefix, self.tmp)
     }
 
     fn lookup(&self, name: &str) -> Option<&VarInfo> {
@@ -1275,13 +1279,102 @@ fn collect_modified(s: &Stmt, out: &mut Vec<String>) {
 
 /// The pieces whole-unit lowering produces: the lowered unit, warnings,
 /// detected reduction groups (one per pragma marker, in marker order),
-/// and the intrinsics encountered.
-pub(crate) type UnitXform = (TranslationUnit, Vec<String>, Vec<Vec<ReductionInfo>>, Vec<String>);
+/// the intrinsics encountered, and the temporaries' name prefix.
+pub(crate) type UnitXform =
+    (TranslationUnit, Vec<String>, Vec<Vec<ReductionInfo>>, Vec<String>, String);
 
 /// Lowers a full translation unit (type promotion, interval-constant
 /// folding, three-address materialization — but no reduction rewriting).
+/// Temporaries are named `t1, t2, …` unless the source itself uses such
+/// a name, in which case they take the first collision-free prefix.
 pub(crate) fn lower_unit(tu: &TranslationUnit, cfg: &Config) -> Result<UnitXform, CompileError> {
-    let mut xf = Xform::new(cfg);
+    lower_unit_with(tu, cfg, &igen_ir::temp_prefix(&t_names(&[tu])))
+}
+
+/// Every source name that could read as a temporary (those starting
+/// with `t`): declared and referenced variables, parameters, functions
+/// and typedefs.
+pub(crate) fn t_names(units: &[&TranslationUnit]) -> Vec<String> {
+    fn name(out: &mut Vec<String>, n: &str) {
+        if n.starts_with('t') {
+            out.push(n.to_string());
+        }
+    }
+    fn expr(out: &mut Vec<String>, e: &Expr) {
+        match e {
+            Expr::Ident(n, _) => name(out, n),
+            Expr::Call { name: n, args, .. } => {
+                name(out, n);
+                args.iter().for_each(|a| expr(out, a));
+            }
+            Expr::Unary(_, a) | Expr::PostIncDec(a, _) | Expr::Cast(_, a) => expr(out, a),
+            Expr::Member { base, .. } => expr(out, base),
+            Expr::Binary { lhs, rhs, .. } | Expr::Assign { lhs, rhs, .. } => {
+                expr(out, lhs);
+                expr(out, rhs);
+            }
+            Expr::Index(a, b) => {
+                expr(out, a);
+                expr(out, b);
+            }
+            Expr::Cond(a, b, c) => [a, b, c].into_iter().for_each(|x| expr(out, x)),
+            Expr::IntLit { .. } | Expr::FloatLit { .. } => {}
+        }
+    }
+    fn decl(out: &mut Vec<String>, d: &VarDecl) {
+        name(out, &d.name);
+        d.init.iter().for_each(|e| expr(out, e));
+    }
+    fn stmt(out: &mut Vec<String>, s: &Stmt) {
+        match s {
+            Stmt::Decl(d) => decl(out, d),
+            Stmt::Expr(e) | Stmt::Return(Some(e)) => expr(out, e),
+            Stmt::Block(b) => b.iter().for_each(|x| stmt(out, x)),
+            Stmt::If { cond, then_branch, else_branch } => {
+                expr(out, cond);
+                stmt(out, then_branch);
+                else_branch.iter().for_each(|x| stmt(out, x));
+            }
+            Stmt::For { init, cond, step, body } => {
+                init.iter().for_each(|x| stmt(out, x));
+                cond.iter().chain(step).for_each(|x| expr(out, x));
+                stmt(out, body);
+            }
+            Stmt::While { cond, body } | Stmt::DoWhile { body, cond } => {
+                expr(out, cond);
+                stmt(out, body);
+            }
+            Stmt::Switch { cond, arms } => {
+                expr(out, cond);
+                arms.iter().flat_map(|a| &a.body).for_each(|x| stmt(out, x));
+            }
+            Stmt::Return(None) | Stmt::Break | Stmt::Continue | Stmt::Pragma(_) | Stmt::Empty => {}
+        }
+    }
+    let mut out = Vec::new();
+    for item in units.iter().flat_map(|u| &u.items) {
+        match item {
+            Item::Global(d) => decl(&mut out, d),
+            Item::Typedef(Typedef::Union { name: n, .. } | Typedef::Alias { name: n, .. }) => {
+                name(&mut out, n)
+            }
+            Item::Function(f) => {
+                name(&mut out, &f.name);
+                f.params.iter().for_each(|p| name(&mut out, &p.name));
+                f.body.iter().flatten().for_each(|s| stmt(&mut out, s));
+            }
+            Item::Include(_) | Item::Pragma(_) => {}
+        }
+    }
+    out
+}
+
+fn lower_unit_with(
+    tu: &TranslationUnit,
+    cfg: &Config,
+    prefix: &str,
+) -> Result<UnitXform, CompileError> {
+    let mut xf = Xform::new(cfg, prefix);
     let mut items = vec![Item::Include("\"igen_lib.h\"".to_string())];
     for item in &tu.items {
         match item {
@@ -1361,12 +1454,18 @@ pub(crate) fn lower_unit(tu: &TranslationUnit, cfg: &Config) -> Result<UnitXform
                 .collect(),
         };
         gen_unit.items.extend(gen_items);
-        let (gen_transformed, w2, g2, _) = lower_unit(&gen_unit, cfg)?;
+        // The generated intrinsics join this unit, so they share its
+        // temporary prefix; relower if their names collide with it.
+        let joint = igen_ir::temp_prefix(&t_names(&[tu, &gen_unit]));
+        if joint != prefix {
+            return lower_unit_with(tu, cfg, &joint);
+        }
+        let (gen_transformed, w2, g2, _, _) = lower_unit_with(&gen_unit, cfg, prefix)?;
         let _ = w2;
         reduction_groups.extend(g2);
         items.extend(gen_transformed.items.into_iter().filter(|i| !matches!(i, Item::Include(_))));
     }
-    Ok((TranslationUnit { items }, warnings, reduction_groups, intrinsics))
+    Ok((TranslationUnit { items }, warnings, reduction_groups, intrinsics, prefix.to_string()))
 }
 
 pub(crate) fn promote_typedef(td: &Typedef, cfg: &Config) -> Typedef {

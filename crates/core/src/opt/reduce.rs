@@ -44,6 +44,8 @@ struct St<'a> {
     acc: u32,
     /// Per-function temporary high-water mark for materialized terms.
     next_tmp: u32,
+    /// The unit's temporary name prefix.
+    temp_prefix: String,
     ity: String,
     acc_ty: String,
     sfx: Sfx,
@@ -74,6 +76,7 @@ impl Pass for ReducePass {
             reductions: &mut ctx.reductions,
             acc: 0,
             next_tmp: 0,
+            temp_prefix: unit.temp_prefix.clone(),
             ity,
             acc_ty: format!("acc_{sfx_str}"),
             sfx,
@@ -121,7 +124,7 @@ fn process_stmts(stmts: &mut Vec<IrStmt>, st: &mut St<'_>) {
                             Assigned {
                                 red: r.clone(),
                                 acc: format!("acc{}", st.acc),
-                                lhs: build_expr(&r.lhs),
+                                lhs: build_expr(&st.temp_prefix, &r.lhs),
                             }
                         })
                         .collect();

@@ -81,11 +81,12 @@ pub fn compile_intrinsics(cfg: &Config) -> Result<IntrinsicsOutput, CompileError
     let mut skipped: Vec<(String, String)> =
         errors.into_iter().map(|(n, e)| (n, e.to_string())).collect();
     let mut items: Vec<Item> = vec![Item::Include("\"igen_lib.h\"".to_string())];
+    let prefix = igen_ir::temp_prefix(&lower::t_names(&[&gen_unit]));
     for item in &gen_unit.items {
         match item {
             Item::Typedef(td) => items.push(Item::Typedef(lower::promote_typedef(td, cfg))),
             Item::Function(f) => {
-                let mut xf = lower::Xform::new(cfg);
+                let mut xf = lower::Xform::new(cfg, &prefix);
                 match xf.function(f) {
                     Ok(tf) => items.push(Item::Function(tf)),
                     Err(e) => {

@@ -32,6 +32,8 @@ impl Dd {
     pub const ZERO: Dd = Dd { hi: 0.0, lo: 0.0 };
     /// One.
     pub const ONE: Dd = Dd { hi: 1.0, lo: 0.0 };
+    /// Minus one.
+    pub const NEG_ONE: Dd = Dd { hi: -1.0, lo: 0.0 };
     /// Positive infinity.
     pub const INFINITY: Dd = Dd { hi: f64::INFINITY, lo: 0.0 };
     /// Negative infinity.

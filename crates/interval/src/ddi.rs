@@ -72,7 +72,7 @@ impl DdI {
     /// `[0, 0]`.
     pub const ZERO: DdI = DdI { neg_lo: Dd::ZERO, hi: Dd::ZERO };
     /// `[1, 1]`.
-    pub const ONE: DdI = DdI { neg_lo: Dd::ZERO, hi: Dd::ONE };
+    pub const ONE: DdI = DdI { neg_lo: Dd::NEG_ONE, hi: Dd::ONE };
     /// The whole line.
     pub const ENTIRE: DdI = DdI { neg_lo: Dd::INFINITY, hi: Dd::INFINITY };
 
@@ -544,6 +544,12 @@ mod tests {
         let b = DdI::point_f64(1.5).powi(13);
         assert!(b.certified_f64().is_some(), "width {:?}", b.width());
         assert!(b.contains_f64(1594323.0 / 8192.0));
+    }
+
+    #[test]
+    fn constants_are_the_documented_points() {
+        assert_eq!(DdI::ONE, DdI::point_f64(1.0));
+        assert_eq!(DdI::ZERO, DdI::point_f64(0.0));
     }
 
     #[test]

@@ -17,10 +17,13 @@
 //! scalar [`F64I`] operations — the property tests pin this on random and
 //! special-value lanes.
 //!
-//! The double-double lane types ([`DdIx2`], [`DdIx4`]) keep the plain
-//! lane-loop shape: a `DdI` operation is a long chain of dependent EFTs
-//! with little packed-width parallelism to harvest, and LLVM already
-//! autovectorizes the independent lanes where profitable.
+//! The double-double lane types ([`DdIx2`], [`DdIx4`]) store scalar
+//! [`DdI`] lanes and gather them into four endpoint-component columns
+//! for the packed DD kernels of [`igen_round::simd`] (add, sub, mul, div
+//! and sqr as one AVX2+FMA kernel each). A lane whose scalar hot-path
+//! guards do not all hold is recomputed by the scalar `DdI` op, so these
+//! types are bit-identical per lane to [`DdI`] on every backend; on SSE2
+//! and portable hosts they run the scalar lane loop.
 
 use crate::ddi::DdI;
 use crate::f64i::F64I;
@@ -78,7 +81,8 @@ impl TBoolLanes {
 /// every vectorized kernel in `igen-kernels`/`igen-batch` is written once
 /// against this trait and instantiated for [`F64Ix2`]/[`F64Ix4`] (packed
 /// x86 kernels with scalar-patch fallback) and [`DdIx2`]/[`DdIx4`]
-/// (lane loops over the double-double scalar ops).
+/// (packed AVX2+FMA double-double kernels with scalar-patch fallback,
+/// lane loops elsewhere).
 ///
 /// Every method is **bit-identical per lane** to the corresponding scalar
 /// [`F64I`]/[`DdI`] operation: a lane of `a.sqrt()` equals
@@ -617,50 +621,92 @@ impl core::ops::Div for F64Ix2 {
     }
 }
 
-/// Plain lane-loop vector types (used for the double-double lanes, where
-/// the long dependent EFT chains leave little packed parallelism).
-macro_rules! lane_type {
-    ($(#[$doc:meta])* $name:ident, $elem:ty, $n:expr) => {
+/// Gathers the endpoint columns of up to four double-double intervals;
+/// slots past `xs.len()` hold the `[1, 1]` padding (valid for every
+/// kernel, a zero-free divisor, and on every guarded hot path).
+fn dd_cols(xs: &[DdI]) -> simd::DdCols4 {
+    let pad = DdI::ONE;
+    let at = |i: usize| xs.get(i).unwrap_or(&pad);
+    simd::DdCols4 {
+        neg_lo_hi: core::array::from_fn(|i| at(i).neg_lo().hi()),
+        neg_lo_lo: core::array::from_fn(|i| at(i).neg_lo().lo()),
+        hi_hi: core::array::from_fn(|i| at(i).hi().hi()),
+        hi_lo: core::array::from_fn(|i| at(i).hi().lo()),
+    }
+}
+
+/// Lane `i` of a packed kernel's output columns.
+#[inline]
+fn dd_lane(c: &simd::DdCols4, i: usize) -> DdI {
+    DdI::from_neg_lo_hi(
+        Dd::from_parts_unchecked(c.neg_lo_hi[i], c.neg_lo_lo[i]),
+        Dd::from_parts_unchecked(c.hi_hi[i], c.hi_lo[i]),
+    )
+}
+
+/// Runs one double-double interval op over `N <= 4` lanes: on the
+/// AVX2+FMA backend as a single packed kernel call (`N < 4` widens with
+/// padding lanes), with every lane whose guard mask bit is clear
+/// recomputed by the scalar op; on the SSE2 and portable backends as the
+/// scalar lane loop. Either way each lane is bit-identical to `scalar`.
+#[inline]
+fn dd_lanes<const N: usize>(
+    scalar: impl Fn(usize) -> DdI,
+    packed: impl FnOnce(simd::Backend) -> Option<simd::DdOut4>,
+) -> [DdI; N] {
+    const { assert!(N <= 4, "the packed DD kernels hold four lanes") };
+    let bk = simd::active_backend();
+    let out = if bk == simd::Backend::Avx2Fma { packed(bk) } else { None };
+    match out {
+        Some((cols, ok)) => {
+            core::array::from_fn(|i| if ok >> i & 1 == 1 { dd_lane(&cols, i) } else { scalar(i) })
+        }
+        None => core::array::from_fn(scalar),
+    }
+}
+
+/// Double-double interval lane types: the lanes are stored as scalar
+/// [`DdI`] values; add, sub, mul, div, sqr (and hence the multiply-
+/// accumulate forms) gather them into endpoint columns for the packed
+/// `igen_round::simd` DD kernels, the remaining ops loop over the lanes.
+macro_rules! dd_lane_type {
+    ($(#[$doc:meta])* $name:ident, $n:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq)]
-        pub struct $name(pub [$elem; $n]);
+        pub struct $name(pub [DdI; $n]);
 
         impl $name {
             /// Packs `LANES` intervals.
-            pub fn from_lanes(xs: [$elem; $n]) -> Self {
+            pub fn from_lanes(xs: [DdI; $n]) -> Self {
                 $name(xs)
             }
 
             /// Applies a scalar op to every lane.
             #[inline]
-            fn map(self, f: impl Fn(&$elem) -> $elem) -> Self {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = f(&self.0[i]);
-                }
-                $name(out)
+            fn map(self, f: impl Fn(&DdI) -> DdI) -> Self {
+                $name(core::array::from_fn(|i| f(&self.0[i])))
             }
         }
 
         impl LaneOps for $name {
-            type Elem = $elem;
+            type Elem = DdI;
             type Endpoint = Dd;
             const LANES: usize = $n;
 
-            fn splat(v: $elem) -> Self {
+            fn splat(v: DdI) -> Self {
                 $name([v; $n])
             }
 
-            fn from_lanes_fn(f: impl FnMut(usize) -> $elem) -> Self {
+            fn from_lanes_fn(f: impl FnMut(usize) -> DdI) -> Self {
                 $name(core::array::from_fn(f))
             }
 
             fn from_columns_slice(neg_lo: &[Dd], hi: &[Dd]) -> Self {
-                Self::from_lanes_fn(|i| <$elem>::from_neg_lo_hi(neg_lo[i], hi[i]))
+                Self::from_lanes_fn(|i| DdI::from_neg_lo_hi(neg_lo[i], hi[i]))
             }
 
             #[inline]
-            fn lane(&self, i: usize) -> $elem {
+            fn lane(&self, i: usize) -> DdI {
                 debug_assert!(
                     i < $n,
                     concat!(stringify!($name), " lane index {} out of range ({} lanes)"),
@@ -678,12 +724,14 @@ macro_rules! lane_type {
                 self.map(|x| x.abs())
             }
 
+            /// Packed dependency-aware square (see `igen_round::simd::ddi_sqr_4`).
             fn sqr(self) -> Self {
-                self.map(|x| x.sqr())
+                let a = &self.0;
+                $name(dd_lanes(|i| a[i].sqr(), |bk| simd::ddi_sqr_4(bk, &dd_cols(a))))
             }
 
             fn relu(self) -> Self {
-                self.map(|x| x.max_i(&<$elem>::ZERO))
+                self.map(|x| x.max_i(&DdI::ZERO))
             }
 
             fn cmp_lt(self, other: Self) -> TBoolLanes {
@@ -713,49 +761,47 @@ macro_rules! lane_type {
 
         impl core::ops::Add for $name {
             type Output = $name;
+            /// Packed interval addition, bit-identical per lane to [`DdI::add`].
             #[inline]
             fn add(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] + rhs.0[i];
-                }
-                $name(out)
+                let (a, b) = (&self.0, &rhs.0);
+                $name(dd_lanes(|i| a[i] + b[i], |bk| simd::ddi_add_4(bk, &dd_cols(a), &dd_cols(b))))
             }
         }
 
         impl core::ops::Sub for $name {
             type Output = $name;
+            /// Packed interval subtraction `a + (-b)` (an exact column
+            /// swap), bit-identical per lane to [`DdI::sub`].
             #[inline]
             fn sub(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] - rhs.0[i];
-                }
-                $name(out)
+                let (a, b) = (&self.0, &rhs.0);
+                $name(dd_lanes(|i| a[i] - b[i], |bk| {
+                    simd::ddi_add_4(bk, &dd_cols(a), &dd_cols(b).swapped())
+                }))
             }
         }
 
         impl core::ops::Mul for $name {
             type Output = $name;
+            /// Packed interval multiplication, bit-identical per lane to
+            /// [`DdI::mul`].
             #[inline]
             fn mul(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] * rhs.0[i];
-                }
-                $name(out)
+                let (a, b) = (&self.0, &rhs.0);
+                $name(dd_lanes(|i| a[i] * b[i], |bk| simd::ddi_mul_4(bk, &dd_cols(a), &dd_cols(b))))
             }
         }
 
         impl core::ops::Div for $name {
             type Output = $name;
+            /// Packed interval division, bit-identical per lane to
+            /// [`DdI::div`] (NaN and zero-straddling divisor lanes take
+            /// the scalar patch).
             #[inline]
             fn div(self, rhs: $name) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = self.0[i] / rhs.0[i];
-                }
-                $name(out)
+                let (a, b) = (&self.0, &rhs.0);
+                $name(dd_lanes(|i| a[i] / b[i], |bk| simd::ddi_div_4(bk, &dd_cols(a), &dd_cols(b))))
             }
         }
 
@@ -763,33 +809,31 @@ macro_rules! lane_type {
             type Output = $name;
             #[inline]
             fn neg(self) -> $name {
-                let mut out = [<$elem>::default(); $n];
-                for i in 0..$n {
-                    out[i] = -self.0[i];
-                }
-                $name(out)
+                self.map(|x| -*x)
             }
         }
 
         impl Default for $name {
             fn default() -> Self {
-                $name([<$elem>::default(); $n])
+                $name([DdI::default(); $n])
             }
         }
     };
 }
 
-lane_type!(
-    /// Two packed double-double intervals (`2 ddi` of Table II).
+dd_lane_type!(
+    /// Two packed double-double intervals (`2 ddi` of Table II). The
+    /// arithmetic widens into the 4-lane kernels with two `[1, 1]`
+    /// padding lanes, as [`F64Ix2`] does.
     DdIx2,
-    DdI,
     2
 );
 
-lane_type!(
-    /// Four packed double-double intervals (`4 ddi` of Table II).
+dd_lane_type!(
+    /// Four packed double-double intervals (`4 ddi` of Table II): each
+    /// endpoint component column is one 256-bit register on the AVX2
+    /// backend.
     DdIx4,
-    DdI,
     4
 );
 

@@ -8,11 +8,19 @@
 //! including NaN, infinite, subnormal and signed-zero endpoints, which
 //! the random generator produces and the deterministic grid guarantees.
 //!
+//! `DdIx2`/`DdIx4` get the same treatment against scalar `DdI`: on
+//! AVX2+FMA hosts their add/sub/mul/div/sqr run the packed double-double
+//! kernels, whose lane-valid masks send every lane failing a scalar
+//! hot-path guard to the scalar patch; a witness table pins that each
+//! guard family actually reaches that patch (and that exact zero
+//! products from `lo == 0` operands do not).
+//!
 //! The backend override is process-global, so every forced section takes
 //! a mutex; no other test in this binary touches the lane types outside
 //! of it.
 
-use igen_interval::{F64Ix2, F64Ix4, LaneOps, TBool, F64I};
+use igen_dd::Dd;
+use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, TBool, F64I};
 use igen_round::simd::{self, Backend};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -174,5 +182,280 @@ fn vector_ops_bit_identical_special_grid() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Double-double lanes.
+// ---------------------------------------------------------------------
+
+fn dd_bits(x: &DdI) -> [u64; 4] {
+    let (n, h) = (x.neg_lo(), x.hi());
+    [n.hi().to_bits(), n.lo().to_bits(), h.hi().to_bits(), h.lo().to_bits()]
+}
+
+/// A double-double value with a trailing component of relative size
+/// `f * 2^-54` (renormalized), or the plain `f64` for non-finite `h`.
+fn dd_tail(h: f64, f: f64) -> Dd {
+    if h.is_finite() {
+        Dd::new(h, h * f * f64::EPSILON / 4.0)
+    } else {
+        Dd::from(h)
+    }
+}
+
+/// Double-double values: full-range `f64`s (`lo == 0`, specials
+/// included), full-range values with a trailing component, and
+/// moderate-magnitude ones (the hot-path bulk of real workloads).
+fn dd_val() -> impl Strategy<Value = Dd> {
+    prop_oneof![
+        1 => any::<f64>().prop_map(Dd::from),
+        1 => (any::<f64>(), -1.0f64..1.0).prop_map(|(h, f)| dd_tail(h, f)),
+        2 => (-8.0f64..8.0, -1.0f64..1.0).prop_map(|(h, f)| dd_tail(h, f)),
+    ]
+}
+
+/// An interval from two dd values: ordered when both are numbers, the
+/// raw (possibly NaN) pair otherwise.
+fn ddi_from(x: Dd, y: Dd) -> DdI {
+    match x.cmp_num(&y) {
+        None => DdI::from_neg_lo_hi(x.neg(), y),
+        Some(core::cmp::Ordering::Greater) => DdI::new(y, x).expect("ordered"),
+        Some(_) => DdI::new(x, y).expect("ordered"),
+    }
+}
+
+fn ddi_any() -> impl Strategy<Value = DdI> {
+    (dd_val(), dd_val()).prop_map(|(x, y)| ddi_from(x, y))
+}
+
+/// Checks every packed `DdIx4`/`DdIx2` operation lane-wise against the
+/// scalar `DdI` ops, under the given backend.
+fn check_dd_lanes(bk: Backend, a: [DdI; 4], b: [DdI; 4]) -> Result<(), String> {
+    type Ops = [fn(DdI, DdI) -> DdI; 7];
+    const OPS: Ops = [
+        |x, y| x + y,
+        |x, y| x - y,
+        |x, y| x * y,
+        |x, y| x / y,
+        |x, _| x.sqr(),
+        |x, y| x * y + x,
+        |x, y| x - x * y,
+    ];
+    const NAMES: [&str; 7] = ["add", "sub", "mul", "div", "sqr", "mul_add", "mul_sub"];
+    let want: Vec<[DdI; 4]> =
+        OPS.iter().map(|op| core::array::from_fn(|i| op(a[i], b[i]))).collect();
+    let (got4, got2) = with_backend(bk, || {
+        let (va, vb) = (DdIx4::from_lanes(a), DdIx4::from_lanes(b));
+        let (wa, wb) = (DdIx2::from_lanes([a[0], a[1]]), DdIx2::from_lanes([b[0], b[1]]));
+        let got4 = [va + vb, va - vb, va * vb, va / vb, va.sqr(), va.mul_add(vb, va), va - va * vb];
+        let got2 = [wa + wb, wa - wb, wa * wb, wa / wb, wa.sqr(), wa.mul_add(wb, wa), wa - wa * wb];
+        (got4, got2)
+    });
+    for (k, name) in NAMES.iter().enumerate() {
+        for i in 0..4 {
+            if dd_bits(&got4[k].lane(i)) != dd_bits(&want[k][i]) {
+                return Err(format!(
+                    "{bk:?} ddx4 {name} lane {i}: a={:?} b={:?}: got {:?} want {:?}",
+                    a[i],
+                    b[i],
+                    got4[k].lane(i),
+                    want[k][i]
+                ));
+            }
+        }
+        for i in 0..2 {
+            if dd_bits(&got2[k].lane(i)) != dd_bits(&want[k][i]) {
+                return Err(format!("{bk:?} ddx2 {name} lane {i}: a={:?} b={:?}", a[i], b[i]));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1500))]
+
+    #[test]
+    fn dd_vector_ops_bit_identical_all_backends(
+        a0 in ddi_any(), a1 in ddi_any(), a2 in ddi_any(), a3 in ddi_any(),
+        b0 in ddi_any(), b1 in ddi_any(), b2 in ddi_any(), b3 in ddi_any(),
+    ) {
+        for bk in backends() {
+            let r = check_dd_lanes(bk, [a0, a1, a2, a3], [b0, b1, b2, b3]);
+            prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+        }
+    }
+}
+
+fn pt(x: f64) -> DdI {
+    DdI::point_f64(x)
+}
+
+fn iv(lo: f64, hi: f64) -> DdI {
+    DdI::new(Dd::from(lo), Dd::from(hi)).expect("ordered")
+}
+
+/// A point interval with a nonzero trailing component.
+fn pt_tail(x: f64) -> DdI {
+    DdI::point(dd_tail(x, 0.75))
+}
+
+/// The special-value grid: NaN, ±∞, ±0, subnormals, `lo == 0` values,
+/// products around `FMA_RESIDUAL_EXACT_MIN` (≈2.5e-291) and `f64::MAX`,
+/// and zero-straddling divisors.
+fn dd_special_grid() -> Vec<DdI> {
+    let sub = f64::from_bits(1);
+    vec![
+        pt(0.0),
+        pt(-0.0),
+        iv(-0.0, 0.0),
+        pt(1.0),
+        pt(-1.0),
+        pt(0.1),
+        pt_tail(0.1),
+        pt_tail(-3.0),
+        iv(-2.0, 3.0),
+        iv(-1.0, 0.0),
+        iv(0.0, 1.0),
+        iv(0.5, 2.0),
+        iv(-2.0, -0.5),
+        pt(sub),
+        iv(-sub, sub),
+        pt(f64::MIN_POSITIVE),
+        pt(f64::from_bits(0x000f_ffff_ffff_ffff)),
+        pt(1.6e-145),
+        pt_tail(1.6e-145),
+        pt(1.5e-146),
+        pt(1e-300),
+        pt(1.3e154),
+        pt(1.4e154),
+        pt_tail(1.3e154),
+        iv(1e300, f64::MAX),
+        pt(-f64::MAX),
+        pt(f64::INFINITY),
+        iv(1.0, f64::INFINITY),
+        iv(f64::NEG_INFINITY, f64::INFINITY),
+        DdI::nai(),
+        DdI::from_neg_lo_hi(Dd::NAN, Dd::from(1.0)),
+        DdI::from_neg_lo_hi(Dd::from(-1.0), Dd::from(f64::NAN)),
+    ]
+}
+
+/// Every special pair, rotated through every lane position, on every
+/// backend (the detected one and the forced narrower ones).
+#[test]
+fn dd_vector_ops_bit_identical_special_grid() {
+    let grid = dd_special_grid();
+    let benign = iv(1.0, 2.0);
+    for bk in backends() {
+        for &x in &grid {
+            for &y in &grid {
+                for pos in 0..4 {
+                    let mut a = [benign; 4];
+                    let mut b = [benign; 4];
+                    a[pos] = x;
+                    b[pos] = y;
+                    if let Err(e) = check_dd_lanes(bk, a, b) {
+                        panic!("special grid ({x}, {y}) pos {pos}: {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Column form of four intervals, as the packed kernels take them.
+fn cols(xs: [DdI; 4]) -> simd::DdCols4 {
+    simd::DdCols4 {
+        neg_lo_hi: xs.map(|x| x.neg_lo().hi()),
+        neg_lo_lo: xs.map(|x| x.neg_lo().lo()),
+        hi_hi: xs.map(|x| x.hi().hi()),
+        hi_lo: xs.map(|x| x.hi().lo()),
+    }
+}
+
+/// Guard witnesses: operand pairs that must (`patched == true`) or must
+/// not (`false`) fail a packed DD kernel's lane-valid mask, one per
+/// guard family. Each witness also runs through the lane types and
+/// must match the scalar op, so the patch path itself is exercised.
+#[test]
+fn dd_guard_witnesses_reach_the_patch_path() {
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Add,
+        Mul,
+        Div,
+        Sqr,
+    }
+    let big = 1.4e154; // big² overflows past f64::MAX
+    let tiny = 1.5e-146; // tiny² lands below FMA_RESIDUAL_EXACT_MIN
+    #[rustfmt::skip]
+    let witnesses: &[(&str, Op, DdI, DdI, bool)] = &[
+        ("f64-valued operands (lo == 0) stay packed", Op::Mul, pt(0.1), pt(3.0), false),
+        ("exact zero product from a zero operand", Op::Mul, pt(0.0), pt_tail(0.3), false),
+        ("zero-straddling operands multiply packed", Op::Mul, iv(-2.0, 3.0), iv(-0.5, 0.25), false),
+        ("dd operands with tails stay packed", Op::Div, pt_tail(0.1), pt_tail(3.0), false),
+        ("straddling square stays packed", Op::Sqr, iv(-2.0, 3.0), pt(1.0), false),
+        ("f64-valued quotient stays packed", Op::Div, pt(1.0), pt(3.0), false),
+        ("add_ru: sum overflows", Op::Add, pt(f64::MAX), pt(f64::MAX), true),
+        ("add_ru: infinite operand", Op::Add, pt(f64::INFINITY), pt(1.0), true),
+        ("add: NaN operand", Op::Add, DdI::nai(), pt(1.0), true),
+        ("mul_ru: product overflows", Op::Mul, pt(big), pt(big), true),
+        ("mul_ru: product below the exact-residual range", Op::Mul, pt(tiny), pt(tiny), true),
+        ("mul_ru/fma_ru: trailing terms below the exact-residual range", Op::Mul, pt_tail(1.6e-145), pt_tail(1.6e-145), true),
+        ("mul: subnormal operand", Op::Mul, pt(f64::from_bits(1)), pt(0.5), true),
+        ("div: zero-straddling divisor", Op::Div, pt(1.0), iv(-1.0, 1.0), true),
+        ("div: zero divisor", Op::Div, pt(1.0), pt(0.0), true),
+        ("div: NaN operand", Op::Div, pt(1.0), DdI::nai(), true),
+        ("div_rn: quotient underflows to zero", Op::Div, pt(1e-300), pt(1e300), true),
+        ("div_rn: quotient overflows", Op::Div, pt(1e300), pt(1e-300), true),
+        ("div: zero dividend", Op::Div, pt(0.0), pt(3.0), true),
+        ("sqr: NaN endpoint", Op::Sqr, DdI::nai(), pt(1.0), true),
+        ("sqr: square overflows", Op::Sqr, iv(1.0, big), pt(1.0), true),
+    ];
+    let _guard = BACKEND_LOCK.lock().unwrap();
+    let packed = simd::detected_backend() == Backend::Avx2Fma;
+    for &(what, op, x, y, patched) in witnesses {
+        let benign = iv(1.0, 2.0);
+        let (a, b) = ([x, benign, benign, benign], [y, benign, benign, benign]);
+        if packed {
+            let (ca, cb) = (cols(a), cols(b));
+            let bk = Backend::Avx2Fma;
+            let (_, ok) = match op {
+                Op::Add => simd::ddi_add_4(bk, &ca, &cb),
+                Op::Mul => simd::ddi_mul_4(bk, &ca, &cb),
+                Op::Div => simd::ddi_div_4(bk, &ca, &cb),
+                Op::Sqr => simd::ddi_sqr_4(bk, &ca),
+            }
+            .expect("AVX2+FMA host runs the packed kernels");
+            assert_eq!(ok >> 1, 0b111, "{what}: benign lanes must stay packed");
+            assert_eq!(ok & 1 == 0, patched, "{what}: lane-valid bit");
+        }
+        let (va, vb) = (DdIx4::from_lanes(a), DdIx4::from_lanes(b));
+        let (got, want) = match op {
+            Op::Add => ((va + vb).lane(0), x + y),
+            Op::Mul => ((va * vb).lane(0), x * y),
+            Op::Div => ((va / vb).lane(0), x / y),
+            Op::Sqr => (va.sqr().lane(0), x.sqr()),
+        };
+        assert_eq!(dd_bits(&got), dd_bits(&want), "{what}: packed vs scalar");
+    }
+    if packed {
+        // `DdIx2` pads its two spare lanes with `DdI::ONE`; they must
+        // never reach the patch path.
+        let pad = cols([pt(0.3), DdI::ONE, DdI::ONE, DdI::ONE]);
+        let bk = Backend::Avx2Fma;
+        for out in [
+            simd::ddi_add_4(bk, &pad, &pad),
+            simd::ddi_add_4(bk, &pad, &pad.swapped()),
+            simd::ddi_mul_4(bk, &pad, &pad),
+            simd::ddi_div_4(bk, &pad, &pad),
+            simd::ddi_sqr_4(bk, &pad),
+        ] {
+            assert_eq!(out.expect("packed").1, 0b1111, "padding lanes must stay packed");
+        }
+    } else {
+        eprintln!("no AVX2+FMA on this host: guard witnesses checked on the lane loop only");
     }
 }

@@ -7,7 +7,9 @@
 //! signed-zero endpoints is pinned on every host — including ones where
 //! no packed backend exists and `simd_bitident` would only ever see the
 //! portable path incidentally. It also covers the `DdIx2`/`DdIx4` lane
-//! types, which never dispatch to packed kernels at all.
+//! types, whose packed double-double kernels exist only on AVX2+FMA: the
+//! pinned portable backend keeps them on their scalar lane loop here
+//! (`simd_bitident` covers the packed path).
 //!
 //! The backend override is process-global, so every pinned section takes
 //! a mutex; no other test in this binary touches the lane types outside
@@ -155,8 +157,8 @@ fn portable_special_lanes_stay_isolated() {
 }
 
 /// Double-double lane types: lane ops match scalar `DdI` ops bit for bit
-/// on special values too. `DdIx{2,4}` never dispatch to packed kernels,
-/// but their lane loops are pinned here alongside the f64 ones.
+/// on special values too, with the portable lane loop pinned (the packed
+/// DD kernels are pinned by `simd_bitident`).
 #[test]
 fn dd_lane_ops_match_scalar_on_special_values() {
     fn dd_bits(x: &DdI) -> [u64; 4] {
@@ -190,10 +192,14 @@ fn dd_lane_ops_match_scalar_on_special_values() {
                 let vb = DdIx4::from_lanes(b);
                 let wa = DdIx2::from_lanes([a[0], a[1]]);
                 let wb = DdIx2::from_lanes([b[0], b[1]]);
-                let (s4, p4) = (va + vb, va * vb);
-                let (s2, p2) = (wa + wb, wa * wb);
-                let (q4, m4, r4) = (va.sqrt(), va.abs(), va.sqr());
-                let (lt4, le4, eq4) = (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb));
+                let ((s4, p4), (s2, p2), (q4, m4, r4), (lt4, le4, eq4)) = pinned_portable(|| {
+                    (
+                        (va + vb, va * vb),
+                        (wa + wb, wa * wb),
+                        (va.sqrt(), va.abs(), va.sqr()),
+                        (va.cmp_lt(vb), va.cmp_le(vb), va.cmp_eq(vb)),
+                    )
+                });
                 for i in 0..4 {
                     assert_eq!(dd_bits(&s4.lane(i)), dd_bits(&(a[i] + b[i])), "ddx4 add lane {i}");
                     assert_eq!(dd_bits(&p4.lane(i)), dd_bits(&(a[i] * b[i])), "ddx4 mul lane {i}");

@@ -32,22 +32,22 @@ pub fn dump_unit(unit: &IrUnit) -> String {
                 let _ = writeln!(out, "global {} {}", ty_str(&d.ty), d.name);
             }
             IrItem::Function(f) => {
-                out.push_str(&dump_function(f));
+                out.push_str(&dump_function(&unit.temp_prefix, f));
             }
         }
     }
     out
 }
 
-/// Dumps one function.
-pub fn dump_function(f: &IrFunction) -> String {
+/// Dumps one function (temporaries named `<p><digits>`).
+pub fn dump_function(p: &str, f: &IrFunction) -> String {
     let mut out = String::new();
     let params: Vec<String> =
         f.params.iter().map(|p| format!("{} {}", ty_str(&p.ty), p.name)).collect();
     let _ = writeln!(out, "func {}({}) -> {} {{", f.name, params.join(", "), ty_str(&f.ret));
     if let Some(body) = &f.body {
         for s in body {
-            dump_stmt(s, 1, &mut out);
+            dump_stmt(p, s, 1, &mut out);
         }
     }
     out.push_str("}\n");
@@ -60,39 +60,39 @@ fn indent(depth: usize, out: &mut String) {
     }
 }
 
-fn dump_stmt(s: &IrStmt, depth: usize, out: &mut String) {
+fn dump_stmt(p: &str, s: &IrStmt, depth: usize, out: &mut String) {
     // Blocks add no line of their own; their statements print at the
     // same depth.
     if let IrStmt::Block(b) = s {
         for st in b {
-            dump_stmt(st, depth, out);
+            dump_stmt(p, st, depth, out);
         }
         return;
     }
     indent(depth, out);
     match s {
         IrStmt::Def { temp, ty, init } => {
-            let _ = writeln!(out, "t{temp}: {} = {}", ty_str(ty), expr_str(init));
+            let _ = writeln!(out, "{p}{temp}: {} = {}", ty_str(ty), expr_str(p, init));
         }
         IrStmt::Decl { ty, name, init } => match init {
             Some(e) => {
-                let _ = writeln!(out, "{name}: {} = {}", ty_str(ty), expr_str(e));
+                let _ = writeln!(out, "{name}: {} = {}", ty_str(ty), expr_str(p, e));
             }
             None => {
                 let _ = writeln!(out, "{name}: {}", ty_str(ty));
             }
         },
         IrStmt::Expr(e) => {
-            let _ = writeln!(out, "{}", expr_str(e));
+            let _ = writeln!(out, "{}", expr_str(p, e));
         }
         IrStmt::Block(_) => unreachable!("handled above"),
         IrStmt::If { cond, then_branch, else_branch } => {
-            let _ = writeln!(out, "if {} {{", expr_str(cond));
-            dump_stmt(then_branch, depth + 1, out);
+            let _ = writeln!(out, "if {} {{", expr_str(p, cond));
+            dump_stmt(p, then_branch, depth + 1, out);
             if let Some(e) = else_branch {
                 indent(depth, out);
                 out.push_str("} else {\n");
-                dump_stmt(e, depth + 1, out);
+                dump_stmt(p, e, depth + 1, out);
             }
             indent(depth, out);
             out.push_str("}\n");
@@ -101,36 +101,36 @@ fn dump_stmt(s: &IrStmt, depth: usize, out: &mut String) {
             out.push_str("for ");
             if let Some(i) = init {
                 let mut one = String::new();
-                dump_stmt(i, 0, &mut one);
+                dump_stmt(p, i, 0, &mut one);
                 out.push_str(one.trim_end());
             }
             out.push_str("; ");
             if let Some(c) = cond {
-                out.push_str(&expr_str(c));
+                out.push_str(&expr_str(p, c));
             }
             out.push_str("; ");
             if let Some(st) = step {
-                out.push_str(&expr_str(st));
+                out.push_str(&expr_str(p, st));
             }
             out.push_str(" {\n");
-            dump_stmt(body, depth + 1, out);
+            dump_stmt(p, body, depth + 1, out);
             indent(depth, out);
             out.push_str("}\n");
         }
         IrStmt::While { cond, body } => {
-            let _ = writeln!(out, "while {} {{", expr_str(cond));
-            dump_stmt(body, depth + 1, out);
+            let _ = writeln!(out, "while {} {{", expr_str(p, cond));
+            dump_stmt(p, body, depth + 1, out);
             indent(depth, out);
             out.push_str("}\n");
         }
         IrStmt::DoWhile { body, cond } => {
             out.push_str("do {\n");
-            dump_stmt(body, depth + 1, out);
+            dump_stmt(p, body, depth + 1, out);
             indent(depth, out);
-            let _ = writeln!(out, "}} while {}", expr_str(cond));
+            let _ = writeln!(out, "}} while {}", expr_str(p, cond));
         }
         IrStmt::Switch { cond, arms } => {
-            let _ = writeln!(out, "switch {} {{", expr_str(cond));
+            let _ = writeln!(out, "switch {} {{", expr_str(p, cond));
             for arm in arms {
                 indent(depth, out);
                 match arm.label {
@@ -140,7 +140,7 @@ fn dump_stmt(s: &IrStmt, depth: usize, out: &mut String) {
                     None => out.push_str("default:\n"),
                 }
                 for st in &arm.body {
-                    dump_stmt(st, depth + 1, out);
+                    dump_stmt(p, st, depth + 1, out);
                 }
             }
             indent(depth, out);
@@ -148,7 +148,7 @@ fn dump_stmt(s: &IrStmt, depth: usize, out: &mut String) {
         }
         IrStmt::Return(e) => match e {
             Some(e) => {
-                let _ = writeln!(out, "return {}", expr_str(e));
+                let _ = writeln!(out, "return {}", expr_str(p, e));
             }
             None => out.push_str("return\n"),
         },
@@ -187,20 +187,20 @@ fn mnemonic(op: &OpKind, sfx: crate::op::Sfx) -> String {
     }
 }
 
-fn expr_str(e: &IrExpr) -> String {
+fn expr_str(p: &str, e: &IrExpr) -> String {
     match e {
         IrExpr::Int { text, .. } => text.clone(),
         IrExpr::Float { text, f32, tol, .. } => {
             format!("{text}{}{}", if *f32 { "f" } else { "" }, if *tol { "t" } else { "" })
         }
         IrExpr::Var(n, _) => n.clone(),
-        IrExpr::Temp(n) => format!("t{n}"),
+        IrExpr::Temp(n) => format!("{p}{n}"),
         IrExpr::Op { op, sfx, args, .. } => {
-            let args: Vec<String> = args.iter().map(expr_str).collect();
+            let args: Vec<String> = args.iter().map(|x| expr_str(p, x)).collect();
             format!("{} {}", mnemonic(op, *sfx), args.join(", "))
         }
         IrExpr::Call { name, args, .. } => {
-            let args: Vec<String> = args.iter().map(expr_str).collect();
+            let args: Vec<String> = args.iter().map(|x| expr_str(p, x)).collect();
             format!("call {name}({})", args.join(", "))
         }
         IrExpr::Unary(op, inner) => format!(
@@ -215,24 +215,24 @@ fn expr_str(e: &IrExpr) -> String {
                 igen_cfront::UnOp::PreInc => "++",
                 igen_cfront::UnOp::PreDec => "--",
             },
-            expr_str(inner)
+            expr_str(p, inner)
         ),
         IrExpr::PostIncDec(inner, inc) => {
-            format!("{}{}", expr_str(inner), if *inc { "++" } else { "--" })
+            format!("{}{}", expr_str(p, inner), if *inc { "++" } else { "--" })
         }
         IrExpr::Binary { op, lhs, rhs, .. } => {
-            format!("({} {} {})", expr_str(lhs), op.as_str(), expr_str(rhs))
+            format!("({} {} {})", expr_str(p, lhs), op.as_str(), expr_str(p, rhs))
         }
         IrExpr::Assign { op, lhs, rhs, .. } => {
-            format!("{} {} {}", expr_str(lhs), op.as_str(), expr_str(rhs))
+            format!("{} {} {}", expr_str(p, lhs), op.as_str(), expr_str(p, rhs))
         }
-        IrExpr::Index(base, idx) => format!("{}[{}]", expr_str(base), expr_str(idx)),
+        IrExpr::Index(base, idx) => format!("{}[{}]", expr_str(p, base), expr_str(p, idx)),
         IrExpr::Member { base, field, arrow } => {
-            format!("{}{}{field}", expr_str(base), if *arrow { "->" } else { "." })
+            format!("{}{}{field}", expr_str(p, base), if *arrow { "->" } else { "." })
         }
-        IrExpr::Cast(ty, inner) => format!("({}) {}", ty_str(ty), expr_str(inner)),
+        IrExpr::Cast(ty, inner) => format!("({}) {}", ty_str(ty), expr_str(p, inner)),
         IrExpr::Cond(c, t, f) => {
-            format!("{} ? {} : {}", expr_str(c), expr_str(t), expr_str(f))
+            format!("{} ? {} : {}", expr_str(p, c), expr_str(p, t), expr_str(p, f))
         }
     }
 }

@@ -16,64 +16,64 @@ pub fn emit_unit(unit: &IrUnit) -> TranslationUnit {
                 IrItem::Pragma(p) => Item::Pragma(p.clone()),
                 IrItem::Typedef(td) => Item::Typedef(td.clone()),
                 IrItem::Global(d) => Item::Global(d.clone()),
-                IrItem::Function(f) => Item::Function(emit_function(f)),
+                IrItem::Function(f) => Item::Function(emit_function(&unit.temp_prefix, f)),
             })
             .collect(),
     }
 }
 
-/// Converts one function.
-pub fn emit_function(f: &IrFunction) -> Function {
+/// Converts one function (temporaries named `<p><digits>`).
+pub fn emit_function(p: &str, f: &IrFunction) -> Function {
     Function {
         ret: f.ret.clone(),
         name: f.name.clone(),
         params: f.params.clone(),
-        body: f.body.as_ref().map(|b| b.iter().map(emit_stmt).collect()),
+        body: f.body.as_ref().map(|b| b.iter().map(|x| emit_stmt(p, x)).collect()),
     }
 }
 
-fn emit_stmt(s: &IrStmt) -> Stmt {
+fn emit_stmt(p: &str, s: &IrStmt) -> Stmt {
     match s {
         IrStmt::Def { temp, ty, init } => Stmt::Decl(VarDecl {
             ty: ty.clone(),
-            name: format!("t{temp}"),
-            init: Some(emit_expr(init)),
+            name: format!("{p}{temp}"),
+            init: Some(emit_expr(p, init)),
         }),
         IrStmt::Decl { ty, name, init } => Stmt::Decl(VarDecl {
             ty: ty.clone(),
             name: name.clone(),
-            init: init.as_ref().map(emit_expr),
+            init: init.as_ref().map(|x| emit_expr(p, x)),
         }),
-        IrStmt::Expr(e) => Stmt::Expr(emit_expr(e)),
-        IrStmt::Block(b) => Stmt::Block(b.iter().map(emit_stmt).collect()),
+        IrStmt::Expr(e) => Stmt::Expr(emit_expr(p, e)),
+        IrStmt::Block(b) => Stmt::Block(b.iter().map(|x| emit_stmt(p, x)).collect()),
         IrStmt::If { cond, then_branch, else_branch } => Stmt::If {
-            cond: emit_expr(cond),
-            then_branch: Box::new(emit_stmt(then_branch)),
-            else_branch: else_branch.as_ref().map(|e| Box::new(emit_stmt(e))),
+            cond: emit_expr(p, cond),
+            then_branch: Box::new(emit_stmt(p, then_branch)),
+            else_branch: else_branch.as_ref().map(|e| Box::new(emit_stmt(p, e))),
         },
         IrStmt::For { init, cond, step, body } => Stmt::For {
-            init: init.as_ref().map(|s| Box::new(emit_stmt(s))),
-            cond: cond.as_ref().map(emit_expr),
-            step: step.as_ref().map(emit_expr),
-            body: Box::new(emit_stmt(body)),
+            init: init.as_ref().map(|s| Box::new(emit_stmt(p, s))),
+            cond: cond.as_ref().map(|x| emit_expr(p, x)),
+            step: step.as_ref().map(|x| emit_expr(p, x)),
+            body: Box::new(emit_stmt(p, body)),
         },
         IrStmt::While { cond, body } => {
-            Stmt::While { cond: emit_expr(cond), body: Box::new(emit_stmt(body)) }
+            Stmt::While { cond: emit_expr(p, cond), body: Box::new(emit_stmt(p, body)) }
         }
         IrStmt::DoWhile { body, cond } => {
-            Stmt::DoWhile { body: Box::new(emit_stmt(body)), cond: emit_expr(cond) }
+            Stmt::DoWhile { body: Box::new(emit_stmt(p, body)), cond: emit_expr(p, cond) }
         }
         IrStmt::Switch { cond, arms } => Stmt::Switch {
-            cond: emit_expr(cond),
+            cond: emit_expr(p, cond),
             arms: arms
                 .iter()
                 .map(|IrArm { label, body }| SwitchArm {
                     label: *label,
-                    body: body.iter().map(emit_stmt).collect(),
+                    body: body.iter().map(|x| emit_stmt(p, x)).collect(),
                 })
                 .collect(),
         },
-        IrStmt::Return(e) => Stmt::Return(e.as_ref().map(emit_expr)),
+        IrStmt::Return(e) => Stmt::Return(e.as_ref().map(|x| emit_expr(p, x))),
         IrStmt::Break => Stmt::Break,
         IrStmt::Continue => Stmt::Continue,
         IrStmt::Pragma(p) => Stmt::Pragma(p.clone()),
@@ -81,46 +81,51 @@ fn emit_stmt(s: &IrStmt) -> Stmt {
     }
 }
 
-/// Converts one expression back to AST form.
-pub fn emit_expr(e: &IrExpr) -> Expr {
+/// Converts one expression back to AST form (temporaries named
+/// `<p><digits>`).
+pub fn emit_expr(p: &str, e: &IrExpr) -> Expr {
     match e {
         IrExpr::Int { value, text } => Expr::IntLit { value: *value, text: text.clone() },
         IrExpr::Float { value, text, f32, tol } => {
             Expr::FloatLit { value: *value, text: text.clone(), f32: *f32, tol: *tol }
         }
         IrExpr::Var(name, loc) => Expr::Ident(name.clone(), *loc),
-        IrExpr::Temp(n) => Expr::Ident(format!("t{n}"), Loc::default()),
+        IrExpr::Temp(n) => Expr::Ident(format!("{p}{n}"), Loc::default()),
         IrExpr::Op { op, sfx, args, loc } => Expr::Call {
             name: op.c_name(*sfx),
-            args: args.iter().map(emit_expr).collect(),
+            args: args.iter().map(|x| emit_expr(p, x)).collect(),
             loc: *loc,
         },
-        IrExpr::Call { name, args, loc } => {
-            Expr::Call { name: name.clone(), args: args.iter().map(emit_expr).collect(), loc: *loc }
-        }
-        IrExpr::Unary(op, inner) => Expr::Unary(*op, Box::new(emit_expr(inner))),
-        IrExpr::PostIncDec(inner, inc) => Expr::PostIncDec(Box::new(emit_expr(inner)), *inc),
+        IrExpr::Call { name, args, loc } => Expr::Call {
+            name: name.clone(),
+            args: args.iter().map(|x| emit_expr(p, x)).collect(),
+            loc: *loc,
+        },
+        IrExpr::Unary(op, inner) => Expr::Unary(*op, Box::new(emit_expr(p, inner))),
+        IrExpr::PostIncDec(inner, inc) => Expr::PostIncDec(Box::new(emit_expr(p, inner)), *inc),
         IrExpr::Binary { op, lhs, rhs, loc } => Expr::Binary {
             op: *op,
-            lhs: Box::new(emit_expr(lhs)),
-            rhs: Box::new(emit_expr(rhs)),
+            lhs: Box::new(emit_expr(p, lhs)),
+            rhs: Box::new(emit_expr(p, rhs)),
             loc: *loc,
         },
         IrExpr::Assign { op, lhs, rhs, loc } => Expr::Assign {
             op: *op,
-            lhs: Box::new(emit_expr(lhs)),
-            rhs: Box::new(emit_expr(rhs)),
+            lhs: Box::new(emit_expr(p, lhs)),
+            rhs: Box::new(emit_expr(p, rhs)),
             loc: *loc,
         },
         IrExpr::Index(base, idx) => {
-            Expr::Index(Box::new(emit_expr(base)), Box::new(emit_expr(idx)))
+            Expr::Index(Box::new(emit_expr(p, base)), Box::new(emit_expr(p, idx)))
         }
         IrExpr::Member { base, field, arrow } => {
-            Expr::Member { base: Box::new(emit_expr(base)), field: field.clone(), arrow: *arrow }
+            Expr::Member { base: Box::new(emit_expr(p, base)), field: field.clone(), arrow: *arrow }
         }
-        IrExpr::Cast(ty, inner) => Expr::Cast(ty.clone(), Box::new(emit_expr(inner))),
-        IrExpr::Cond(c, t, f) => {
-            Expr::Cond(Box::new(emit_expr(c)), Box::new(emit_expr(t)), Box::new(emit_expr(f)))
-        }
+        IrExpr::Cast(ty, inner) => Expr::Cast(ty.clone(), Box::new(emit_expr(p, inner))),
+        IrExpr::Cond(c, t, f) => Expr::Cond(
+            Box::new(emit_expr(p, c)),
+            Box::new(emit_expr(p, t)),
+            Box::new(emit_expr(p, f)),
+        ),
     }
 }

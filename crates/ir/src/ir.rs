@@ -465,6 +465,9 @@ pub enum IrItem {
 pub struct IrUnit {
     /// Items in output order.
     pub items: Vec<IrItem>,
+    /// Name prefix of the compiler temporaries: [`IrExpr::Temp`]`(n)`
+    /// prints as `<temp_prefix><n>` (see [`crate::temp_prefix`]).
+    pub temp_prefix: String,
 }
 
 impl IrUnit {

@@ -33,7 +33,7 @@ mod ir;
 mod op;
 mod renumber;
 
-pub use build::{build_expr, build_function, build_unit};
+pub use build::{build_expr, build_function, build_unit, build_unit_with_prefix, temp_prefix};
 pub use count::{function_stats, unit_stats, OpStats};
 pub use dump::{dump_function, dump_unit};
 pub use emit::{emit_expr, emit_function, emit_unit};
@@ -166,5 +166,20 @@ mod tests {
             other => panic!("{other:?}"),
         };
         assert!(body_expr(&ia).struct_eq(&body_expr(&ib)));
+    }
+
+    #[test]
+    fn temp_prefix_avoids_source_names_and_round_trips() {
+        let names = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+        assert_eq!(temp_prefix(&names(&["x", "tmp", "t", "t1x"])), "t");
+        assert_eq!(temp_prefix(&names(&["t0"])), "t_");
+        assert_eq!(temp_prefix(&names(&["t07", "t_2"])), "t__");
+        // Under a non-default prefix `t1` is a plain variable and `t_1`
+        // the temporary; emission restores both names exactly.
+        let src = "f64i f(f64i t1) { f64i t_1 = ia_add_f64(t1, t1); return t_1; }";
+        let ir = build_unit_with_prefix(&parse(src).unwrap(), "t_");
+        let body = ir.functions().next().unwrap().body.as_ref().unwrap();
+        assert!(matches!(body[0], IrStmt::Def { temp: 1, .. }), "{body:?}");
+        assert_eq!(print_unit(&emit_unit(&ir)), print_unit(&parse(src).unwrap()));
     }
 }

@@ -39,16 +39,30 @@
 //!
 //! Soundness therefore never rests on new reasoning: the packed kernels
 //! are the scalar kernels, evaluated four lanes at a time.
+//!
+//! # Double-double interval kernels
+//!
+//! [`ddi_add_4`], [`ddi_mul_4`], [`ddi_div_4`] and [`ddi_sqr_4`] run
+//! whole double-double interval operations on four lanes of raw endpoint
+//! columns ([`DdCols4`]) as single AVX2+FMA kernels. They apply the same
+//! contract one level up: the scalar op's full hot-path sequence is
+//! evaluated lane-wise, every guard along it is folded into one returned
+//! lane-valid mask, and the caller recomputes the failing lanes with the
+//! scalar op (see the `dd` module docs for the mirrored guards).
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
 use crate::ops::{DIV_EXACT_MIN_A, FMA_RESIDUAL_EXACT_MIN, SQRT_EXACT_MIN_A};
 use igen_telemetry::Counter;
 
+mod dd;
+pub use dd::{ddi_add_4, ddi_div_4, ddi_mul_4, ddi_sqr_4, DdCols4, DdOut4};
+
 /// Telemetry counters for the packed kernels: per-op packed-call and
 /// patched-lane counts plus backend-dispatch outcomes. Zero-sized no-ops
 /// unless the `telemetry` feature is enabled; the guard-failure *rate*
-/// per op is `lanes_patched / (4 * packed_calls)`.
+/// per op is `lanes_patched / (4 * packed_calls)`, and for the
+/// double-double interval kernels `dd_patched / (4 * dd_packed)`.
 pub(crate) mod tel {
     use igen_telemetry::Counter;
 
@@ -69,6 +83,8 @@ pub(crate) mod tel {
     pub static ABS_PACKED: Counter = Counter::new("simd.abs.packed_calls");
     pub static CMP_PACKED: Counter = Counter::new("simd.cmp.packed_calls");
     pub static CMP_PATCHED: Counter = Counter::new("simd.cmp.lanes_patched");
+    pub static DD_PACKED: Counter = Counter::new("simd.dd_packed");
+    pub static DD_PATCHED: Counter = Counter::new("simd.dd_patched");
 }
 
 /// Counts one 4-wide call: which op was invoked and which backend
@@ -625,14 +641,14 @@ mod x86 {
     /// `|x|` (clears the sign bit).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn abs_256(x: __m256d) -> __m256d {
+    pub(super) unsafe fn abs_256(x: __m256d) -> __m256d {
         _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
     }
 
     /// `-x` (flips the sign bit; exact, matches scalar `-x`).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn neg_256(x: __m256d) -> __m256d {
+    pub(super) unsafe fn neg_256(x: __m256d) -> __m256d {
         _mm256_xor_pd(_mm256_set1_pd(-0.0), x)
     }
 
@@ -640,14 +656,14 @@ mod x86 {
     /// lanes report false, exactly like `f64::is_finite`).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn is_finite_256(x: __m256d) -> __m256d {
+    pub(super) unsafe fn is_finite_256(x: __m256d) -> __m256d {
         _mm256_cmp_pd::<_CMP_LT_OQ>(abs_256(x), _mm256_set1_pd(f64::INFINITY))
     }
 
     /// Lane mask: `lo <= |x| <= hi` (false for NaN `x`).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn abs_in_range_256(x: __m256d, lo: f64, hi: f64) -> __m256d {
+    pub(super) unsafe fn abs_in_range_256(x: __m256d, lo: f64, hi: f64) -> __m256d {
         let ax = abs_256(x);
         _mm256_and_pd(
             _mm256_cmp_pd::<_CMP_GE_OQ>(ax, _mm256_set1_pd(lo)),
@@ -660,7 +676,7 @@ mod x86 {
     /// same monotone signed-integer encoding of the float order.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn bump_up_256(s: __m256d, up: __m256d) -> __m256d {
+    pub(super) unsafe fn bump_up_256(s: __m256d, up: __m256d) -> __m256d {
         let zero = _mm256_setzero_si256();
         let bits = _mm256_castpd_si256(s);
         // mask = (bits >> 63 logical-after-arith) — 0x7fff.. for negatives.

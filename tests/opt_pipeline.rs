@@ -156,3 +156,37 @@ proptest! {
         assert_bit_identical(&r0, &r2, &src);
     }
 }
+
+/// Source locals named like the compiler's temporaries (`t0`, `t1`, …)
+/// must not be confused with them: the temporaries move to a
+/// collision-free prefix, and `-O1`/`-O2` stay bit-identical to `-O0`
+/// under the reference interpreter — including when the `t<N>` locals
+/// are reassigned in a loop, which SSA temporaries never are.
+#[test]
+fn t_named_locals_do_not_collide_with_temporaries() {
+    let src = "double f(double a, double b, double c) {\n\
+               \x20   double t0 = 0.125 * a;\n\
+               \x20   double t1 = t0 * b + 0.5;\n\
+               \x20   double t2 = t1 * t1 - t0;\n\
+               \x20   double t3 = t2 + 0.25 * t1;\n\
+               \x20   for (int i = 0; i < 3; i++) {\n\
+               \x20       t1 = t1 * t0 + c;\n\
+               \x20       t3 = t3 - t1 * t2;\n\
+               \x20   }\n\
+               \x20   return t3 * t0 + t1;\n\
+               }\n";
+    let o0 = Compiler::new(at_level(OptLevel::O0)).compile_str(src).unwrap();
+    assert!(
+        o0.c_source.contains("f64i t_1 = "),
+        "temporaries keep clear of t<N>:\n{}",
+        o0.c_source
+    );
+    for level in [OptLevel::O1, OptLevel::O2] {
+        let out = Compiler::new(at_level(level)).compile_str(src).unwrap();
+        for (a, b, c) in [(1.0, 2.0, 0.5), (-1.5, 0.25, 3.0), (0.3, -0.7, -0.2)] {
+            let args = [interval(a, 0.0), interval(b, 1.0 / 64.0), interval(c, 0.0)];
+            let ctx = format!("{level:?} at ({a}, {b}, {c}):\n{}", out.c_source);
+            assert_bit_identical(&run(&o0.c_source, &args), &run(&out.c_source, &args), &ctx);
+        }
+    }
+}
