@@ -19,6 +19,7 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use igen_telemetry::Counter;
 
@@ -49,9 +50,13 @@ impl Default for BatchConfig {
     }
 }
 
-/// The machine's available parallelism (1 if it cannot be queried).
+/// The machine's available parallelism (1 if it cannot be queried),
+/// queried once per process: the query reads cgroup files on Linux, tens
+/// of microseconds that every `BatchConfig::new()` would otherwise pay.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1))
 }
 
 impl BatchConfig {
@@ -349,6 +354,8 @@ mod tests {
     fn zero_threads_means_all_cores() {
         let cfg = BatchConfig::new().with_threads(0);
         assert_eq!(cfg.threads(), available_threads());
+        let cores = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
+        assert_eq!(available_threads(), cores, "the cached count is the machine's");
     }
 
     #[test]

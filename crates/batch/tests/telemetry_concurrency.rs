@@ -10,10 +10,12 @@
 #![cfg(feature = "telemetry")]
 
 use igen_batch::engine::par_map;
-use igen_batch::{dot_batch, henon_ensemble, BatchConfig, BatchF64I};
-use igen_interval::{F64Ix4, LaneOps};
+use igen_batch::{dot_batch, henon_ensemble, BatchConfig, BatchF64I, BatchProgram};
+use igen_interval::{F64Ix4, LaneOps, F64I};
 use igen_kernels::workload;
+use igen_round::simd::{self, Backend};
 use igen_telemetry::Snapshot;
+use igen_vm::{DebugMap, Insn, OutputSlot, Precision, Program};
 use proptest::prelude::*;
 
 /// Counter/hist snapshots are process-global; the tests here reset and
@@ -76,7 +78,7 @@ proptest! {
                 igen_bench_sink(par_map(&cfg, &groups, |v| {
                     let root = v.abs().sqrt();
                     let square = v.sqr();
-                    (root, square, v.cmp_lt(square).lane(0))
+                    (root, square, *v / square, v.cmp_lt(square).lane(0))
                 }));
             })
         };
@@ -86,7 +88,7 @@ proptest! {
             base_counters.iter().any(|(n, v)| n.starts_with("simd.") && *v > 0),
             "the workload must actually exercise the instrumented kernels: {base_counters:?}"
         );
-        for op in ["sqrt", "sqr", "abs", "cmp"] {
+        for op in ["add", "mul", "div", "sqrt", "sqr", "abs", "cmp"] {
             let name = format!("simd.{op}.packed_calls");
             prop_assert!(
                 base_counters.iter().any(|(n, v)| *n == name && *v > 0),
@@ -102,6 +104,65 @@ proptest! {
                 threads
             );
             prop_assert_eq!(&multi.hists, &base.hists, "width histograms diverged");
+        }
+    }
+}
+
+fn counter(snap: &Snapshot, name: &str) -> u64 {
+    snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+}
+
+/// The fused f64 interval kernels count under the primitive op counters:
+/// one `packed_calls` per four-lane group and op (`add` for add/sub, both
+/// `mul` and `add` for a multiply-accumulate), the scalar-patched
+/// interval lanes as that op's `lanes_patched`, and no separate `max`
+/// calls for the product's endpoint reductions. The tiled VM's fused
+/// sweeps count the same way, once per group. SSE2 and portable hosts run
+/// the composed kernels, which tick the same counters per column call.
+#[test]
+fn fused_kernels_count_under_the_primitive_counters() {
+    let _serial = TEL_LOCK.lock().unwrap();
+    let x = F64I::new(1.0, 2.0).unwrap();
+    let a = F64Ix4::from_lanes([F64I::NAI, x, x, x]);
+    let b = F64Ix4::splat(F64I::new(3.0, 4.0).unwrap());
+    let ops = traced(|| igen_bench_sink((a + b, a - b, a * b, a / b, a.sqr())));
+
+    // acc + x * y over 8 items: two full groups of one tile.
+    let prog = Program {
+        name: "mac".into(),
+        precision: Precision::F64,
+        n_inputs: 3,
+        n_regs: 4,
+        consts: vec![],
+        insns: vec![Insn::MulAdd { dst: 3, a: 0, b: 1, acc: 2 }],
+        inputs: vec!["x".into(), "y".into(), "acc".into()],
+        outputs: vec![OutputSlot { label: "return".into(), reg: 3 }],
+        debug: DebugMap::default(),
+    };
+    let inputs = BatchF64I::from_intervals(&[x; 24]);
+    let bp = BatchProgram::new(prog);
+    let cfg = BatchConfig::new().with_threads(1).with_seq_threshold(0).with_tile_groups(8);
+    let vm = traced(|| igen_bench_sink(bp.run(&cfg, &inputs)));
+
+    if simd::detected_backend() == Backend::Avx2Fma {
+        for (op, calls, patched) in [("add", 2, 2), ("mul", 1, 1), ("div", 1, 1), ("sqr", 1, 1)] {
+            let (c, p) = (format!("simd.{op}.packed_calls"), format!("simd.{op}.lanes_patched"));
+            assert_eq!(counter(&ops, &c), calls, "{c}");
+            assert_eq!(counter(&ops, &p), patched, "{p}: the NaN lane patches");
+        }
+        assert_eq!(counter(&ops, "simd.max.packed_calls"), 0, "fused reductions stay in-register");
+        assert_eq!(counter(&ops, "simd.dispatch.avx2_fma"), 5, "one dispatch per fused call");
+        for op in ["mul", "add"] {
+            assert_eq!(counter(&vm, &format!("simd.{op}.packed_calls")), 2, "{op}: one per group");
+            assert_eq!(counter(&vm, &format!("simd.{op}.lanes_patched")), 0, "{op}");
+        }
+    } else {
+        // The composed division takes the scalar lane loop for a vector
+        // with a NaN lane, and the composed square substitutes NaN lanes
+        // before squaring: only add and mul reach the patch there.
+        for op in ["add", "mul"] {
+            assert!(counter(&ops, &format!("simd.{op}.packed_calls")) > 0, "{op}");
+            assert!(counter(&ops, &format!("simd.{op}.lanes_patched")) > 0, "{op}");
         }
     }
 }

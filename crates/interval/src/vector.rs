@@ -6,16 +6,18 @@
 //! AVX registers. The double-precision lane types here use the same
 //! layout transposed into **SoA-in-register** form: [`F64Ix4`] holds a
 //! `neg_lo[4]` column and a `hi[4]` column, so each column is exactly one
-//! AVX register and every arithmetic operation maps onto the packed
-//! directed-rounding kernels of [`igen_round::simd`] (add/sub are two
-//! packed `add_ru` calls, mul is four packed product-pair calls plus
-//! packed NaN-max reductions — the branch-free Section II recipe, four
-//! intervals at a time). The kernels are selected once at runtime by CPU
-//! feature detection; on non-x86-64 hosts, and under
-//! [`igen_round::simd::force_backend`], the same code runs through the
-//! portable scalar lane loop. All paths are bit-identical per lane to the
-//! scalar [`F64I`] operations — the property tests pin this on random and
-//! special-value lanes.
+//! AVX register. On AVX2+FMA hosts add, sub, mul, div and sqr each run as
+//! one fused kernel of [`igen_round::simd`] that keeps both columns in
+//! registers for the whole operation and patches guard-failing lanes with
+//! the scalar op. On SSE2 hosts the same operations are composed from the
+//! packed directed-rounding kernels (add/sub are two packed `add_ru`
+//! calls, mul is four packed product-pair calls plus packed NaN-max
+//! reductions — the branch-free Section II recipe, four intervals at a
+//! time); on non-x86-64 hosts, and under
+//! [`igen_round::simd::force_backend`], the composed code runs through
+//! the portable scalar lane loop. All paths are bit-identical per lane to
+//! the scalar [`F64I`] operations — the property tests pin this on random
+//! and special-value lanes.
 //!
 //! The double-double lane types ([`DdIx2`], [`DdIx4`]) store scalar
 //! [`DdI`] lanes and gather them into four endpoint-component columns
@@ -300,31 +302,93 @@ f64i_lane_type!(
     4
 );
 
+impl F64Ix4 {
+    /// One fused interval op: a single AVX2+FMA kernel dispatch on hosts
+    /// that have it, `composed` (the primitive packed kernels) on SSE2 and
+    /// portable hosts. Both are bit-identical per lane to the scalar op.
+    #[inline]
+    fn fused(
+        op: simd::IntervalOp,
+        a: &F64Ix4,
+        b: &F64Ix4,
+        composed: impl FnOnce(simd::Backend) -> F64Ix4,
+    ) -> F64Ix4 {
+        let bk = simd::active_backend();
+        simd::f64i_op_4(bk, op, a, b, a).unwrap_or_else(|| composed(bk))
+    }
+}
+
+/// The scalar interval op a fused kernel lane stands for (its patch).
+fn scalar_op(op: simd::IntervalOp, a: F64I, b: F64I, acc: F64I) -> F64I {
+    match op {
+        simd::IntervalOp::Add => a + b,
+        simd::IntervalOp::Sub => a - b,
+        simd::IntervalOp::Mul => a * b,
+        simd::IntervalOp::Div => a / b,
+        simd::IntervalOp::Sqr => a.sqr(),
+        simd::IntervalOp::MulAdd => acc + a * b,
+        simd::IntervalOp::MulSub => acc - a * b,
+    }
+}
+
+/// Column access and the scalar patch for the fused kernels of
+/// `igen_round::simd` (which hold the `unsafe`).
+impl simd::F64Cols4 for F64Ix4 {
+    #[inline]
+    fn neg_lo4(&self) -> &[f64; 4] {
+        &self.neg_lo
+    }
+
+    #[inline]
+    fn hi4(&self) -> &[f64; 4] {
+        &self.hi
+    }
+
+    #[inline]
+    fn from_cols4(neg_lo: [f64; 4], hi: [f64; 4]) -> F64Ix4 {
+        F64Ix4 { neg_lo, hi }
+    }
+
+    #[cold]
+    fn patch_lanes(
+        op: simd::IntervalOp,
+        ok: u8,
+        a: &F64Ix4,
+        b: &F64Ix4,
+        acc: &F64Ix4,
+        out: &mut F64Ix4,
+    ) {
+        for i in (0..4).filter(|i| ok >> i & 1 == 0) {
+            let r = scalar_op(op, a.lane(i), b.lane(i), acc.lane(i));
+            (out.neg_lo[i], out.hi[i]) = (r.neg_lo(), r.hi());
+        }
+    }
+}
+
 impl core::ops::Add for F64Ix4 {
     type Output = F64Ix4;
-    /// Packed interval addition: two packed `add_ru` calls (Section II),
-    /// bit-identical per lane to [`F64I::add`].
+    /// Packed interval addition: one fused kernel, or two packed
+    /// `add_ru` calls (Section II); bit-identical per lane to
+    /// [`F64I::add`].
     #[inline]
     fn add(self, rhs: F64Ix4) -> F64Ix4 {
-        let bk = simd::active_backend();
-        F64Ix4 {
+        F64Ix4::fused(simd::IntervalOp::Add, &self, &rhs, |bk| F64Ix4 {
             neg_lo: simd::add_ru_4(bk, &self.neg_lo, &rhs.neg_lo),
             hi: simd::add_ru_4(bk, &self.hi, &rhs.hi),
-        }
+        })
     }
 }
 
 impl core::ops::Sub for F64Ix4 {
     type Output = F64Ix4;
     /// Packed interval subtraction `a + (-b)`: endpoint-column swap plus
-    /// two packed `add_ru` calls, bit-identical per lane to [`F64I::sub`].
+    /// the addition, bit-identical per lane to [`F64I::sub`].
     #[inline]
     fn sub(self, rhs: F64Ix4) -> F64Ix4 {
-        let bk = simd::active_backend();
-        F64Ix4 {
+        F64Ix4::fused(simd::IntervalOp::Sub, &self, &rhs, |bk| F64Ix4 {
             neg_lo: simd::add_ru_4(bk, &self.neg_lo, &rhs.hi),
             hi: simd::add_ru_4(bk, &self.hi, &rhs.neg_lo),
-        }
+        })
     }
 }
 
@@ -332,68 +396,62 @@ impl core::ops::Mul for F64Ix4 {
     type Output = F64Ix4;
     /// Packed branch-free interval multiplication: the same four shared
     /// product/residual pairs and NaN-max endpoint reductions as
-    /// [`F64I::mul`], each evaluated on whole columns. Bit-identical per
-    /// lane to the scalar operation (same IEEE operation sequence; see
-    /// `igen_round::simd`).
+    /// [`F64I::mul`], in one fused kernel or as packed primitive calls
+    /// on whole columns. Bit-identical per lane to the scalar operation
+    /// (same IEEE operation sequence; see `igen_round::simd`).
     #[inline]
     fn mul(self, rhs: F64Ix4) -> F64Ix4 {
-        let bk = simd::active_backend();
-        let (u1, l1) = simd::mul_ru_both_4(bk, &self.neg_lo, &rhs.neg_lo);
-        let (l2, u2) = simd::mul_ru_both_4(bk, &self.neg_lo, &rhs.hi);
-        let (l3, u3) = simd::mul_ru_both_4(bk, &self.hi, &rhs.neg_lo);
-        let (u4, l4) = simd::mul_ru_both_4(bk, &self.hi, &rhs.hi);
-        F64Ix4 {
-            neg_lo: simd::max_nan_4(
-                bk,
-                &simd::max_nan_4(bk, &l1, &l2),
-                &simd::max_nan_4(bk, &l3, &l4),
-            ),
-            hi: simd::max_nan_4(bk, &simd::max_nan_4(bk, &u1, &u2), &simd::max_nan_4(bk, &u3, &u4)),
-        }
+        F64Ix4::fused(simd::IntervalOp::Mul, &self, &rhs, |bk| {
+            let (u1, l1) = simd::mul_ru_both_4(bk, &self.neg_lo, &rhs.neg_lo);
+            let (l2, u2) = simd::mul_ru_both_4(bk, &self.neg_lo, &rhs.hi);
+            let (l3, u3) = simd::mul_ru_both_4(bk, &self.hi, &rhs.neg_lo);
+            let (u4, l4) = simd::mul_ru_both_4(bk, &self.hi, &rhs.hi);
+            max_reduce(bk, [l1, l2, l3, l4], [u1, u2, u3, u4])
+        })
     }
 }
 
 impl core::ops::Div for F64Ix4 {
     type Output = F64Ix4;
-    /// Packed interval division. Lanes are first screened for the scalar
-    /// special cases (NaN endpoints → NAI, zero-straddling divisor →
-    /// ENTIRE); if any lane is special the whole vector takes the scalar
-    /// lane loop (trivially bit-identical), otherwise four packed
-    /// quotient-pair calls and NaN-max reductions mirror [`F64I::div`].
+    /// Packed interval division, bit-identical per lane to [`F64I::div`].
+    /// The fused kernel screens the scalar special cases per lane (NaN
+    /// endpoints → NAI, zero-straddling divisor → ENTIRE) into its patch
+    /// mask. The composed path takes the scalar lane loop for the whole
+    /// vector if any lane is special, and otherwise mirrors the scalar op
+    /// with four packed quotient-pair calls and NaN-max reductions.
     #[inline]
     fn div(self, rhs: F64Ix4) -> F64Ix4 {
-        let mut special = false;
-        for i in 0..4 {
-            special |= self.neg_lo[i].is_nan()
-                || self.hi[i].is_nan()
-                || rhs.neg_lo[i].is_nan()
-                || rhs.hi[i].is_nan()
-                || (-rhs.neg_lo[i] <= 0.0 && rhs.hi[i] >= 0.0);
-        }
-        if special {
-            let mut out = [F64I::default(); 4];
-            for (i, lane) in out.iter_mut().enumerate() {
-                *lane = self.lane(i) / rhs.lane(i);
+        F64Ix4::fused(simd::IntervalOp::Div, &self, &rhs, |bk| {
+            let special = (0..4).any(|i| {
+                self.neg_lo[i].is_nan()
+                    || self.hi[i].is_nan()
+                    || rhs.neg_lo[i].is_nan()
+                    || rhs.hi[i].is_nan()
+                    || (-rhs.neg_lo[i] <= 0.0 && rhs.hi[i] >= 0.0)
+            });
+            if special {
+                return F64Ix4::from_lanes(core::array::from_fn(|i| self.lane(i) / rhs.lane(i)));
             }
-            return F64Ix4::from_lanes(out);
-        }
-        let bk = simd::active_backend();
-        // bl = -neg_lo (the positive... sign-flipped low column), exactly
-        // as the scalar kernel rebuilds the divisor's lower endpoint.
-        let bl = rhs.neg_lo.map(|x| -x);
-        let (l1, u1) = simd::div_ru_both_4(bk, &self.neg_lo, &bl);
-        let (l2, u2) = simd::div_ru_both_4(bk, &self.neg_lo, &rhs.hi);
-        let (u3, l3) = simd::div_ru_both_4(bk, &self.hi, &bl);
-        let (u4, l4) = simd::div_ru_both_4(bk, &self.hi, &rhs.hi);
-        F64Ix4 {
-            neg_lo: simd::max_nan_4(
-                bk,
-                &simd::max_nan_4(bk, &l1, &l2),
-                &simd::max_nan_4(bk, &l3, &l4),
-            ),
-            hi: simd::max_nan_4(bk, &simd::max_nan_4(bk, &u1, &u2), &simd::max_nan_4(bk, &u3, &u4)),
-        }
+            // The divisor's lower endpoint, rebuilt exactly as the scalar
+            // kernel does.
+            let bl = rhs.neg_lo.map(|x| -x);
+            let (l1, u1) = simd::div_ru_both_4(bk, &self.neg_lo, &bl);
+            let (l2, u2) = simd::div_ru_both_4(bk, &self.neg_lo, &rhs.hi);
+            let (u3, l3) = simd::div_ru_both_4(bk, &self.hi, &bl);
+            let (u4, l4) = simd::div_ru_both_4(bk, &self.hi, &rhs.hi);
+            max_reduce(bk, [l1, l2, l3, l4], [u1, u2, u3, u4])
+        })
     }
+}
+
+/// The endpoint reductions of the composed product and quotient:
+/// `max(max(x1, x2), max(x3, x4))` per column, in the scalar order.
+#[inline]
+fn max_reduce(bk: simd::Backend, l: [[f64; 4]; 4], u: [[f64; 4]; 4]) -> F64Ix4 {
+    let m = |x: &[[f64; 4]; 4]| {
+        simd::max_nan_4(bk, &simd::max_nan_4(bk, &x[0], &x[1]), &simd::max_nan_4(bk, &x[2], &x[3]))
+    };
+    F64Ix4 { neg_lo: m(&l), hi: m(&u) }
 }
 
 impl LaneOps for F64Ix4 {
@@ -438,41 +496,43 @@ impl LaneOps for F64Ix4 {
         F64Ix4 { neg_lo, hi }
     }
 
-    /// Packed dependency-aware square. The magnitude columns `m` (max)
-    /// and `n` (min) are formed with exact scalar selects as in
-    /// `F64I::sqr`; both directed endpoint squares then come from the
-    /// packed square kernel (`RU(m²)` is its first column on `m`,
-    /// `-RD(n²)` its second on `n` — scalar identities that hold
-    /// bit-for-bit, see `igen_round::simd::sqr_ru_both_4`). Lanes whose
-    /// square is discarded (NaN lanes; the lower square of lanes
-    /// straddling zero) compute on a guard-friendly stand-in of `1.0`.
+    /// Packed dependency-aware square: one fused kernel, or the composed
+    /// path. There the magnitude columns `m` (max) and `n` (min) are
+    /// formed with exact scalar selects as in `F64I::sqr`; both directed
+    /// endpoint squares then come from the packed square kernel (`RU(m²)`
+    /// is its first column on `m`, `-RD(n²)` its second on `n` — scalar
+    /// identities that hold bit-for-bit, see
+    /// `igen_round::simd::sqr_ru_both_4`). Lanes whose square is
+    /// discarded (NaN lanes; the lower square of lanes straddling zero)
+    /// compute on a guard-friendly stand-in of `1.0`.
     fn sqr(self) -> Self {
-        let bk = simd::active_backend();
-        let mut m = [0.0; 4];
-        let mut n = [0.0; 4];
-        let mut nan = [false; 4];
-        let mut straddle = [false; 4];
-        for i in 0..4 {
-            let (lo, hi) = (-self.neg_lo[i], self.hi[i]);
-            nan[i] = self.neg_lo[i].is_nan() || hi.is_nan();
-            straddle[i] = lo <= 0.0 && hi >= 0.0;
-            let (alo, ahi) = (lo.abs(), hi.abs());
-            m[i] = if nan[i] { 1.0 } else { alo.max(ahi) };
-            n[i] = if nan[i] || straddle[i] { 1.0 } else { alo.min(ahi) };
-        }
-        let (upper, _) = simd::sqr_ru_both_4(bk, &m);
-        let (_, lower_neg) = simd::sqr_ru_both_4(bk, &n);
-        let mut out = F64Ix4 { neg_lo: [0.0; 4], hi: [0.0; 4] };
-        for i in 0..4 {
-            (out.neg_lo[i], out.hi[i]) = if nan[i] {
-                (f64::NAN, f64::NAN)
-            } else if straddle[i] {
-                (0.0, upper[i])
-            } else {
-                (lower_neg[i], upper[i])
-            };
-        }
-        out
+        F64Ix4::fused(simd::IntervalOp::Sqr, &self, &self, |bk| {
+            let mut m = [0.0; 4];
+            let mut n = [0.0; 4];
+            let mut nan = [false; 4];
+            let mut straddle = [false; 4];
+            for i in 0..4 {
+                let (lo, hi) = (-self.neg_lo[i], self.hi[i]);
+                nan[i] = self.neg_lo[i].is_nan() || hi.is_nan();
+                straddle[i] = lo <= 0.0 && hi >= 0.0;
+                let (alo, ahi) = (lo.abs(), hi.abs());
+                m[i] = if nan[i] { 1.0 } else { alo.max(ahi) };
+                n[i] = if nan[i] || straddle[i] { 1.0 } else { alo.min(ahi) };
+            }
+            let (upper, _) = simd::sqr_ru_both_4(bk, &m);
+            let (_, lower_neg) = simd::sqr_ru_both_4(bk, &n);
+            let mut out = F64Ix4 { neg_lo: [0.0; 4], hi: [0.0; 4] };
+            for i in 0..4 {
+                (out.neg_lo[i], out.hi[i]) = if nan[i] {
+                    (f64::NAN, f64::NAN)
+                } else if straddle[i] {
+                    (0.0, upper[i])
+                } else {
+                    (lower_neg[i], upper[i])
+                };
+            }
+            out
+        })
     }
 
     /// Lane-wise `max_i` against `[0, 0]` — exact endpoint min/max
@@ -899,8 +959,10 @@ mod tests {
 
     #[test]
     fn div_special_lanes_fall_back() {
-        // One straddling divisor lane forces the scalar path for the
-        // whole vector; results must still match lane-wise scalar div.
+        // Special lanes (a straddling divisor, a NaN dividend) patch per
+        // lane in the fused kernel and send the whole vector to the
+        // scalar loop on the composed path; either way every lane must
+        // match scalar div.
         let nums = [F64I::point(1.0), F64I::new(-2.0, 3.0).unwrap(), F64I::NAI, F64I::point(4.0)];
         let dens =
             [F64I::new(-1.0, 1.0).unwrap(), F64I::point(2.0), F64I::point(1.0), F64I::point(0.5)];

@@ -8,6 +8,12 @@
 //! including NaN, infinite, subnormal and signed-zero endpoints, which
 //! the random generator produces and the deterministic grid guarantees.
 //!
+//! On AVX2+FMA hosts the `F64Ix4` ops (and the VM's multiply-accumulate
+//! forms, called here through `simd::f64i_op_4`) run as fused kernels;
+//! a second witness table pins that each of their guard families reaches
+//! the scalar patch and that ordinary lanes, exact zero products included,
+//! do not.
+//!
 //! `DdIx2`/`DdIx4` get the same treatment against scalar `DdI`: on
 //! AVX2+FMA hosts their add/sub/mul/div/sqr run the packed double-double
 //! kernels, whose lane-valid masks send every lane failing a scalar
@@ -21,8 +27,9 @@
 
 use igen_dd::Dd;
 use igen_interval::{DdI, DdIx2, DdIx4, F64Ix2, F64Ix4, LaneOps, TBool, F64I};
-use igen_round::simd::{self, Backend};
+use igen_round::simd::{self, Backend, IntervalOp};
 use proptest::prelude::*;
+use std::cell::Cell;
 use std::sync::Mutex;
 
 /// Serializes `force_backend` sections (the override is process-global).
@@ -77,6 +84,25 @@ fn check_lanes(bk: Backend, a: [F64I; 4], b: [F64I; 4]) -> Result<(), TestCaseEr
     let want_lt: Vec<TBool> = (0..4).map(|i| a[i].cmp_lt(&b[i])).collect();
     let want_le: Vec<TBool> = (0..4).map(|i| a[i].cmp_le(&b[i])).collect();
     let want_eq: Vec<TBool> = (0..4).map(|i| a[i].cmp_eq(&b[i])).collect();
+    // The VM's accumulate forms, `acc + a*b` and `acc - a*b` (acc = b).
+    let want_acc: [Vec<F64I>; 2] = [
+        (0..4).map(|i| b[i] + a[i] * b[i]).collect(),
+        (0..4).map(|i| b[i] - a[i] * b[i]).collect(),
+    ];
+    let got_acc = with_backend(bk, || {
+        let (va, vb) = (F64Ix4::from_lanes(a), F64Ix4::from_lanes(b));
+        [IntervalOp::MulAdd, IntervalOp::MulSub]
+            .map(|op| simd::f64i_op_4(simd::active_backend(), op, &va, &vb, &vb))
+    });
+    for (k, got) in got_acc.iter().enumerate() {
+        // `None` below AVX2+FMA: the VM then composes the two ops.
+        if let Some(got) = got {
+            for i in 0..4 {
+                let ctx = format!("{bk:?} lane {i}: a={} b={}", a[i], b[i]);
+                prop_assert!(same(got.lane(i), want_acc[k][i]), "x4 fused acc form {k} {ctx}");
+            }
+        }
+    }
     let (got4, got2, gotu4, gotu2, gotc4, gotc2) = with_backend(bk, || {
         let va = F64Ix4::from_lanes(a);
         let vb = F64Ix4::from_lanes(b);
@@ -182,6 +208,140 @@ fn vector_ops_bit_identical_special_grid() {
                 }
             }
         }
+    }
+}
+
+thread_local! {
+    /// The lane-valid mask the last fused call handed to its patch hook
+    /// (`None`: the hook did not run, every lane stayed packed).
+    static PATCHED: Cell<Option<u8>> = const { Cell::new(None) };
+}
+
+/// Four raw f64 intervals whose patch hook records the kernel's mask and
+/// recomputes the failing lanes with the scalar op, so the fused kernels'
+/// guard decisions are observable from outside.
+#[derive(Clone, Copy, Debug)]
+struct Spy {
+    n: [f64; 4],
+    h: [f64; 4],
+}
+
+impl Spy {
+    fn new(xs: [F64I; 4]) -> Spy {
+        Spy { n: xs.map(|x| x.neg_lo()), h: xs.map(|x| x.hi()) }
+    }
+
+    fn lane(&self, i: usize) -> F64I {
+        F64I::from_neg_lo_hi(self.n[i], self.h[i])
+    }
+}
+
+impl simd::F64Cols4 for Spy {
+    fn neg_lo4(&self) -> &[f64; 4] {
+        &self.n
+    }
+    fn hi4(&self) -> &[f64; 4] {
+        &self.h
+    }
+    fn from_cols4(n: [f64; 4], h: [f64; 4]) -> Spy {
+        Spy { n, h }
+    }
+    fn patch_lanes(op: IntervalOp, ok: u8, a: &Spy, b: &Spy, acc: &Spy, out: &mut Spy) {
+        PATCHED.with(|p| p.set(Some(ok)));
+        for i in (0..4).filter(|i| ok >> i & 1 == 0) {
+            let r = scalar_f64_op(op, a.lane(i), b.lane(i), acc.lane(i));
+            (out.n[i], out.h[i]) = (r.neg_lo(), r.hi());
+        }
+    }
+}
+
+fn scalar_f64_op(op: IntervalOp, a: F64I, b: F64I, acc: F64I) -> F64I {
+    match op {
+        IntervalOp::Add => a + b,
+        IntervalOp::Sub => a - b,
+        IntervalOp::Mul => a * b,
+        IntervalOp::Div => a / b,
+        IntervalOp::Sqr => a.sqr(),
+        IntervalOp::MulAdd => acc + a * b,
+        IntervalOp::MulSub => acc - a * b,
+    }
+}
+
+/// Guard witnesses for the fused f64 kernels: operand triples `(a, b,
+/// acc)` that must (`true`) or must not (`false`) reach the scalar patch,
+/// one per guard family, in lane 0 next to three benign lanes. Every
+/// witness result must also equal the scalar op.
+#[test]
+fn f64_guard_witnesses_reach_the_patch_path() {
+    use IntervalOp::*;
+    let iv = |lo: f64, hi: f64| F64I::new(lo, hi).expect("ordered");
+    let pt = F64I::point;
+    let (big, tiny, sub) = (1.4e154, 1.5e-146, f64::from_bits(1));
+    let one = pt(1.0);
+    #[rustfmt::skip]
+    let witnesses: &[(&str, IntervalOp, F64I, F64I, F64I, bool)] = &[
+        ("ordinary sum stays packed", Add, pt(0.1), iv(1.0, 3.0), one, false),
+        ("ordinary difference stays packed", Sub, pt(0.1), iv(1.0, 3.0), one, false),
+        ("zero-straddling operands multiply packed", Mul, iv(-2.0, 3.0), iv(-0.5, 0.25), one, false),
+        ("exact zero products from zero endpoints stay packed", Mul, iv(0.0, 1.0), iv(-0.0, 2.0), one, false),
+        ("ordinary quotient stays packed", Div, pt(1.0), iv(3.0, 7.0), one, false),
+        ("negative divisor stays packed", Div, iv(-2.0, 3.0), iv(-7.0, -3.0), one, false),
+        ("straddling square stays packed", Sqr, iv(-2.0, 3.0), one, one, false),
+        ("square of zero stays packed", Sqr, pt(0.0), one, one, false),
+        ("ordinary multiply-add stays packed", MulAdd, pt(0.1), pt(3.0), iv(-1.0, 1.0), false),
+        ("ordinary multiply-sub stays packed", MulSub, pt(0.1), pt(3.0), iv(-1.0, 1.0), false),
+        ("add_ru: sum overflows", Add, pt(f64::MAX), pt(f64::MAX), one, true),
+        ("add_ru: infinite endpoint", Add, iv(1.0, f64::INFINITY), one, one, true),
+        ("add: NaN endpoint", Add, F64I::NAI, one, one, true),
+        ("sub: NaN endpoint", Sub, one, F64I::from_neg_lo_hi(f64::NAN, 1.0), one, true),
+        ("mul_ru: product overflows", Mul, pt(big), pt(big), one, true),
+        ("mul_ru: product below the exact-residual range", Mul, pt(tiny), pt(tiny), one, true),
+        ("mul_ru: subnormal endpoint", Mul, pt(sub), pt(0.5), one, true),
+        ("mul_ru: infinite endpoint", Mul, iv(1.0, f64::INFINITY), pt(2.0), one, true),
+        ("mul_ru: zero times infinity", Mul, pt(0.0), iv(1.0, f64::INFINITY), one, true),
+        ("mul: NaN endpoint", Mul, F64I::NAI, one, one, true),
+        ("div: zero-straddling divisor", Div, one, iv(-1.0, 1.0), one, true),
+        ("div: zero divisor", Div, one, pt(0.0), one, true),
+        ("div: NaN endpoint", Div, one, F64I::NAI, one, true),
+        ("div_ru: dividend below the exact range", Div, iv(0.0, 1.0), pt(3.0), one, true),
+        ("div_ru: quotient underflows", Div, pt(1e-300), pt(1e300), one, true),
+        ("div_ru: quotient overflows", Div, pt(1e300), pt(1e-300), one, true),
+        ("sqr: NaN endpoint", Sqr, F64I::NAI, one, one, true),
+        ("sqr: square overflows", Sqr, iv(1.0, big), one, one, true),
+        ("sqr: square below the exact-residual range", Sqr, iv(tiny, 1.0), one, one, true),
+        ("mul_add: product stage fails", MulAdd, pt(tiny), pt(tiny), one, true),
+        ("mul_add: accumulate stage overflows", MulAdd, one, pt(f64::MAX), pt(f64::MAX), true),
+        ("mul_sub: accumulate stage overflows", MulSub, one, pt(f64::MAX), pt(-f64::MAX), true),
+    ];
+    let _guard = BACKEND_LOCK.lock().unwrap();
+    if simd::detected_backend() != Backend::Avx2Fma {
+        eprintln!("no AVX2+FMA on this host: the fused f64 kernels do not run");
+        return;
+    }
+    let benign = iv(1.0, 2.0);
+    for &(what, op, x, y, z, patched) in witnesses {
+        let (a, b, acc) = (
+            Spy::new([x, benign, benign, benign]),
+            Spy::new([y, benign, benign, benign]),
+            Spy::new([z, benign, benign, benign]),
+        );
+        PATCHED.with(|p| p.set(None));
+        let got = simd::f64i_op_4(Backend::Avx2Fma, op, &a, &b, &acc).expect("packed host");
+        let ok = PATCHED.with(Cell::get).unwrap_or(0b1111);
+        assert_eq!(ok >> 1, 0b111, "{what}: benign lanes must stay packed");
+        assert_eq!(ok & 1 == 0, patched, "{what}: lane-valid bit");
+        for i in 0..4 {
+            let want = scalar_f64_op(op, a.lane(i), b.lane(i), acc.lane(i));
+            assert!(same(got.lane(i), want), "{what}: lane {i} packed vs scalar");
+        }
+    }
+    // `F64Ix2` pads its two spare lanes with `[1, 1]`; they must never
+    // reach the patch path.
+    let pad = Spy::new([pt(0.3), one, one, one]);
+    for op in [Add, Sub, Mul, Div, Sqr, MulAdd, MulSub] {
+        PATCHED.with(|p| p.set(None));
+        let _ = simd::f64i_op_4(Backend::Avx2Fma, op, &pad, &pad, &pad);
+        assert_eq!(PATCHED.with(Cell::get), None, "{op:?}: padding lanes must stay packed");
     }
 }
 

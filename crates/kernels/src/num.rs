@@ -13,6 +13,7 @@
 
 use igen_baselines::{BoostI, FilibI, GaolI, NaiveI};
 use igen_interval::{DdI, DdIx4, F64Ix4, LaneOps, F32I, F64I};
+use igen_round::simd::{self, IntervalOp, SweepInsn};
 
 /// A sound (or plain) numeric type usable by the kernels.
 pub trait Numeric:
@@ -162,6 +163,61 @@ pub trait LaneOrScalar<T: Numeric>:
     /// Per-lane pointwise maximum.
     #[must_use]
     fn max_l(self, other: Self) -> Self;
+
+    /// Runs one interval arithmetic instruction over the first `n` groups
+    /// of a tile bank laid out `bank[reg * tile + g]` — the inner loop of
+    /// the tiled VM. The default is the value-op loop, one value op per
+    /// group; lane types with a fused kernel override it to run the whole
+    /// column in one dispatch. Either way each group equals the value op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a referenced register column runs past the end of `bank`.
+    #[inline(always)]
+    fn sweep(bank: &mut [Self], tile: usize, n: usize, insn: SweepInsn) {
+        lane_sweep::<T, Self>(bank, tile, n, insn);
+    }
+}
+
+/// The value-op loop behind [`LaneOrScalar::sweep`]: for each group `g <
+/// n`, `bank[dst * tile + g] = op(a, b, acc)` with the operands read
+/// before the write (so `dst` may alias any source), the accumulate forms
+/// as `acc + a * b` and `acc - a * b`.
+///
+/// # Panics
+///
+/// Panics if a referenced register column runs past the end of `bank`.
+#[inline(always)]
+fn lane_sweep<T: Numeric, L: LaneOrScalar<T>>(
+    bank: &mut [L],
+    tile: usize,
+    n: usize,
+    insn: SweepInsn,
+) {
+    #[inline(always)]
+    fn run<L: Copy>(bank: &mut [L], cols: [usize; 4], n: usize, f: impl Fn(L, L, L) -> L) {
+        let [d, a, b, c] = cols;
+        // One bounds proof up front lets the inner loop run unchecked.
+        assert!(
+            d.max(a).max(b).max(c) + n <= bank.len(),
+            "sweep columns run past the bank ({} slots)",
+            bank.len()
+        );
+        for g in 0..n {
+            bank[d + g] = f(bank[a + g], bank[b + g], bank[c + g]);
+        }
+    }
+    let col = |r: u32| r as usize * tile;
+    let cols = [col(insn.dst), col(insn.a), col(insn.b), col(insn.acc)];
+    match insn.op {
+        IntervalOp::Add => run(bank, cols, n, |x, y, _| x + y),
+        IntervalOp::Sub => run(bank, cols, n, |x, y, _| x - y),
+        IntervalOp::Mul => run(bank, cols, n, |x, y, _| x * y),
+        IntervalOp::Div => run(bank, cols, n, |x, y, _| x / y),
+        IntervalOp::Sqr => run(bank, cols, n, |x, _, _| x.sqr_l()),
+        IntervalOp::MulAdd => run(bank, cols, n, |x, y, z| z + (x * y)),
+        IntervalOp::MulSub => run(bank, cols, n, |x, y, z| z - (x * y)),
+    }
 }
 
 /// Every numeric element is itself a 1-wide "lane vector": the scalar
@@ -244,6 +300,13 @@ impl LaneOrScalar<F64I> for F64Ix4 {
     }
     fn max_l(self, other: F64Ix4) -> F64Ix4 {
         <F64Ix4 as LaneOps>::from_lanes_fn(|i| self.lane_l(i).max_i(&other.lane_l(i)))
+    }
+    /// The whole column in one fused AVX2+FMA kernel dispatch where the
+    /// host has it; the value-op loop on SSE2 and portable hosts.
+    fn sweep(bank: &mut [F64Ix4], tile: usize, n: usize, insn: SweepInsn) {
+        if !simd::f64i_sweep(bank, tile, n, insn) {
+            lane_sweep::<F64I, F64Ix4>(bank, tile, n, insn);
+        }
     }
 }
 

@@ -16,8 +16,12 @@
 //!   conservative one-quantum widening is applied instead: the result is
 //!   still a *sound* bound, at most 2^-1074 away from the exact directed
 //!   rounding.
-//! * NaNs propagate; IEEE special values follow the interval conventions of
-//!   Section IV-A of the paper.
+//! * NaNs propagate as the canonical quiet NaN (`f64::NAN`), never as the
+//!   NaN the round-to-nearest operation produced: the payload of an RN
+//!   NaN depends on operand order, which the compiler may commute, so
+//!   passing it through would make results depend on code generation.
+//!   IEEE special values follow the interval conventions of Section IV-A
+//!   of the paper.
 
 use crate::eft::{two_prod, two_sum};
 use crate::ulp::{exponent, next_down, next_up};
@@ -132,9 +136,13 @@ pub fn add_ru(a: f64, b: f64) -> f64 {
 #[cold]
 fn add_ru_slow(a: f64, b: f64, s: f64) -> f64 {
     if !s.is_finite() {
-        if s.is_nan() || a.is_infinite() || b.is_infinite() {
+        if s.is_nan() {
             tel::SPECIALS.inc();
-            return s; // exact infinity or invalid
+            return f64::NAN;
+        }
+        if a.is_infinite() || b.is_infinite() {
+            tel::SPECIALS.inc();
+            return s; // exact infinity
         }
         // Finite operands overflowed under RN.
         tel::WIDENINGS.inc();
@@ -194,7 +202,7 @@ pub fn mul_ru(a: f64, b: f64) -> f64 {
 fn mul_ru_slow(a: f64, b: f64, p: f64) -> f64 {
     if p.is_nan() {
         tel::SPECIALS.inc();
-        return p;
+        return f64::NAN;
     }
     if p.is_infinite() {
         if a.is_infinite() || b.is_infinite() {
@@ -296,7 +304,11 @@ pub fn div_ru(a: f64, b: f64) -> f64 {
 
 #[cold]
 fn div_ru_slow(a: f64, b: f64, q: f64) -> f64 {
-    if q.is_nan() || b == 0.0 {
+    if q.is_nan() {
+        tel::SPECIALS.inc();
+        return f64::NAN;
+    }
+    if b == 0.0 {
         tel::SPECIALS.inc();
         return q;
     }
@@ -370,8 +382,11 @@ pub fn sqrt_ru(a: f64) -> f64 {
         let r = s.mul_add(s, -a);
         return bump_up(s, r < 0.0);
     }
-    if !s.is_finite() || s == 0.0 {
-        return s; // NaN, +inf, ±0 are all exact
+    if s.is_nan() {
+        return f64::NAN;
+    }
+    if s.is_infinite() || s == 0.0 {
+        return s; // +inf and ±0 are exact
     }
     next_up(s)
 }
@@ -384,7 +399,10 @@ pub fn sqrt_rd(a: f64) -> f64 {
         // Downward bump: mirror through negation.
         return -bump_up(-s, r > 0.0);
     }
-    if !s.is_finite() || s == 0.0 {
+    if s.is_nan() {
+        return f64::NAN;
+    }
+    if s.is_infinite() || s == 0.0 {
         return s;
     }
     next_down(s).max(0.0)
@@ -398,7 +416,10 @@ pub fn sqrt_rd(a: f64) -> f64 {
 pub fn fma_ru(a: f64, b: f64, c: f64) -> f64 {
     let r = a.mul_add(b, c);
     if !r.is_finite() {
-        if r.is_nan() || a.is_infinite() || b.is_infinite() || c.is_infinite() {
+        if r.is_nan() {
+            return f64::NAN;
+        }
+        if a.is_infinite() || b.is_infinite() || c.is_infinite() {
             return r;
         }
         return if r == f64::INFINITY { f64::INFINITY } else { -f64::MAX };

@@ -49,6 +49,16 @@
 //! evaluated lane-wise, every guard along it is folded into one returned
 //! lane-valid mask, and the caller recomputes the failing lanes with the
 //! scalar op (see the `dd` module docs for the mirrored guards).
+//!
+//! # Fused double-precision interval kernels
+//!
+//! [`f64i_op_4`] runs one whole `F64I` operation (add, sub, mul, div,
+//! sqr, and the VM's multiply-accumulate forms) on four lanes as a single
+//! AVX2+FMA kernel, with the same mask-and-patch contract; the caller's
+//! lane type supplies column access and the scalar patch through
+//! [`F64Cols4`]. [`f64i_sweep`] applies one such operation to a whole
+//! tile column inside one `avx2,fma` function, so the tiled VM pays one
+//! dispatch per instruction per tile (see the `f64i` module docs).
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
@@ -56,13 +66,18 @@ use crate::ops::{DIV_EXACT_MIN_A, FMA_RESIDUAL_EXACT_MIN, SQRT_EXACT_MIN_A};
 use igen_telemetry::Counter;
 
 mod dd;
+mod f64i;
 pub use dd::{ddi_add_4, ddi_div_4, ddi_mul_4, ddi_sqr_4, DdCols4, DdOut4};
+pub use f64i::{f64i_op_4, f64i_sweep, F64Cols4, IntervalOp, SweepInsn};
 
 /// Telemetry counters for the packed kernels: per-op packed-call and
 /// patched-lane counts plus backend-dispatch outcomes. Zero-sized no-ops
 /// unless the `telemetry` feature is enabled; the guard-failure *rate*
 /// per op is `lanes_patched / (4 * packed_calls)`, and for the
-/// double-double interval kernels `dd_patched / (4 * dd_packed)`.
+/// double-double interval kernels `dd_patched / (4 * dd_packed)`. A fused
+/// f64 interval kernel counts one packed call per four-lane group under
+/// its op (`add` for add/sub, both `mul` and `add` for the accumulate
+/// forms) and its patched interval lanes as that op's `lanes_patched`.
 pub(crate) mod tel {
     use igen_telemetry::Counter;
 
@@ -690,15 +705,14 @@ mod x86 {
         _mm256_castsi256_pd(_mm256_xor_si256(key, mask2))
     }
 
-    /// Packed `add_ru`: TwoSum + directed bump on all four lanes; lanes
-    /// whose sum or residual leaves the finite range are recomputed with
-    /// the scalar kernel (which handles overflow and invalid operations).
+    /// The `add_ru` hot path on one 256-bit column pair: Knuth TwoSum
+    /// (the same six IEEE additions as the scalar `two_sum`) and the
+    /// directed bump, plus the lane mask of the scalar guard (sum and
+    /// residual finite). Shared by the packed add and the fused interval
+    /// kernels.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn add_ru_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
-        let va = _mm256_loadu_pd(a.as_ptr());
-        let vb = _mm256_loadu_pd(b.as_ptr());
-        // Knuth TwoSum, lane-wise — the same six IEEE additions as the
-        // scalar `two_sum`.
+    #[inline]
+    pub(super) unsafe fn add_ru_256(va: __m256d, vb: __m256d) -> (__m256d, __m256d) {
         let s = _mm256_add_pd(va, vb);
         let a1 = _mm256_sub_pd(s, vb);
         let b1 = _mm256_sub_pd(s, a1);
@@ -706,8 +720,16 @@ mod x86 {
         let db = _mm256_sub_pd(vb, b1);
         let e = _mm256_add_pd(da, db);
         let up = _mm256_cmp_pd::<_CMP_GT_OQ>(e, _mm256_setzero_pd());
-        let bumped = bump_up_256(s, up);
-        let ok = _mm256_movemask_pd(_mm256_and_pd(is_finite_256(s), is_finite_256(e)));
+        (bump_up_256(s, up), _mm256_and_pd(is_finite_256(s), is_finite_256(e)))
+    }
+
+    /// Packed `add_ru`: TwoSum + directed bump on all four lanes; lanes
+    /// whose sum or residual leaves the finite range are recomputed with
+    /// the scalar kernel (which handles overflow and invalid operations).
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn add_ru_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> [f64; 4] {
+        let (bumped, okv) = add_ru_256(_mm256_loadu_pd(a.as_ptr()), _mm256_loadu_pd(b.as_ptr()));
+        let ok = _mm256_movemask_pd(okv);
         let mut out = [0.0; 4];
         _mm256_storeu_pd(out.as_mut_ptr(), bumped);
         if ok != ALL4 {
@@ -719,20 +741,22 @@ mod x86 {
 
     /// The `mul_ru_both` hot path on one 256-bit column pair: product +
     /// FMA residual + two directed bumps, plus the residual-exactness
-    /// validity mask. Shared by the multiply and square kernels (which
-    /// differ only in which scalar kernel patches the failing lanes).
+    /// validity lane mask. Shared by the multiply and square kernels
+    /// (which differ only in which scalar kernel patches the failing
+    /// lanes) and the fused interval kernels.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn mul_ru_both_4_avx2_core(va: __m256d, vb: __m256d) -> (__m256d, __m256d, i32) {
+    pub(super) unsafe fn mul_ru_both_4_avx2_core(
+        va: __m256d,
+        vb: __m256d,
+    ) -> (__m256d, __m256d, __m256d) {
         let p = _mm256_mul_pd(va, vb);
         let e = _mm256_fmsub_pd(va, vb, p); // a*b - p, exactly (FMA)
         let zero = _mm256_setzero_pd();
         let hi = bump_up_256(p, _mm256_cmp_pd::<_CMP_GT_OQ>(e, zero));
         let lo = bump_up_256(neg_256(p), _mm256_cmp_pd::<_CMP_LT_OQ>(e, zero));
-        let ok = _mm256_movemask_pd(_mm256_and_pd(
-            abs_in_range_256(p, FMA_RESIDUAL_EXACT_MIN, f64::MAX),
-            is_finite_256(e),
-        ));
+        let ok =
+            _mm256_and_pd(abs_in_range_256(p, FMA_RESIDUAL_EXACT_MIN, f64::MAX), is_finite_256(e));
         (hi, lo, ok)
     }
 
@@ -743,7 +767,8 @@ mod x86 {
     pub(super) unsafe fn mul_ru_both_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
         let va = _mm256_loadu_pd(a.as_ptr());
         let vb = _mm256_loadu_pd(b.as_ptr());
-        let (hi, lo, ok) = mul_ru_both_4_avx2_core(va, vb);
+        let (hi, lo, okv) = mul_ru_both_4_avx2_core(va, vb);
+        let ok = _mm256_movemask_pd(okv);
         let mut out_hi = [0.0; 4];
         let mut out_lo = [0.0; 4];
         _mm256_storeu_pd(out_hi.as_mut_ptr(), hi);
@@ -761,7 +786,8 @@ mod x86 {
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn sqr_ru_both_4_avx2(a: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
         let va = _mm256_loadu_pd(a.as_ptr());
-        let (hi, lo, ok) = mul_ru_both_4_avx2_core(va, va);
+        let (hi, lo, okv) = mul_ru_both_4_avx2_core(va, va);
+        let ok = _mm256_movemask_pd(okv);
         let mut out_hi = [0.0; 4];
         let mut out_lo = [0.0; 4];
         _mm256_storeu_pd(out_hi.as_mut_ptr(), hi);
@@ -931,13 +957,13 @@ mod x86 {
         trimask(t, f, cmp_nan_256(vanl, vah, vbnl, vbh))
     }
 
-    /// Packed `div_ru_both`: quotient + `two_prod` residual check + two
-    /// directed bumps; lanes outside the exactness range fall back to the
-    /// scalar kernel.
+    /// The `div_ru_both` hot path on one 256-bit column pair: quotient,
+    /// FMA `two_prod(q, b)` residual and two directed bumps, plus the lane
+    /// mask of the scalar guards (quotient, dividend and `h` in range).
+    /// Shared by the packed quotient and the fused interval kernels.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn div_ru_both_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
-        let va = _mm256_loadu_pd(a.as_ptr());
-        let vb = _mm256_loadu_pd(b.as_ptr());
+    #[inline]
+    pub(super) unsafe fn div_ru_both_256(va: __m256d, vb: __m256d) -> (__m256d, __m256d, __m256d) {
         let q = _mm256_div_pd(va, vb);
         // two_prod(q, b) via FMA.
         let h = _mm256_mul_pd(q, vb);
@@ -957,7 +983,17 @@ mod x86 {
             abs_in_range_256(va, DIV_EXACT_MIN_A, f64::MAX),
         );
         let ok2 = abs_in_range_256(h, f64::MIN_POSITIVE, f64::MAX);
-        let ok = _mm256_movemask_pd(_mm256_and_pd(ok1, ok2));
+        (hi, lo, _mm256_and_pd(ok1, ok2))
+    }
+
+    /// Packed `div_ru_both`: quotient + `two_prod` residual check + two
+    /// directed bumps; lanes outside the exactness range fall back to the
+    /// scalar kernel.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn div_ru_both_4_avx2(a: &[f64; 4], b: &[f64; 4]) -> ([f64; 4], [f64; 4]) {
+        let (hi, lo, okv) =
+            div_ru_both_256(_mm256_loadu_pd(a.as_ptr()), _mm256_loadu_pd(b.as_ptr()));
+        let ok = _mm256_movemask_pd(okv);
         let mut out_hi = [0.0; 4];
         let mut out_lo = [0.0; 4];
         _mm256_storeu_pd(out_hi.as_mut_ptr(), hi);

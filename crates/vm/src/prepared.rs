@@ -31,7 +31,7 @@
 
 use crate::bytecode::{Insn, Program};
 use crate::exec::{VmElem, VM_INSNS_EXECUTED};
-use igen_kernels::LaneOrScalar;
+use igen_kernels::{IntervalOp, LaneOrScalar, SweepInsn};
 use igen_telemetry::Counter;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -200,36 +200,70 @@ fn sweep2<L: Copy>(
 }
 
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn sweep3<L: Copy>(
-    bank: &mut [L],
-    tile: usize,
-    n: usize,
-    dst: u32,
-    a: u32,
-    b: u32,
-    c: u32,
-    f: impl Fn(L, L, L) -> L,
-) {
-    let (di, ai, bi, ci) =
-        (dst as usize * tile, a as usize * tile, b as usize * tile, c as usize * tile);
-    assert!(
-        di + n <= bank.len()
-            && ai + n <= bank.len()
-            && bi + n <= bank.len()
-            && ci + n <= bank.len()
-    );
-    for g in 0..n {
-        bank[di + g] = f(bank[ai + g], bank[bi + g], bank[ci + g]);
-    }
-}
-
-#[inline(always)]
 fn sweep1<L: Copy>(bank: &mut [L], tile: usize, n: usize, dst: u32, a: u32, f: impl Fn(L) -> L) {
     let (di, ai) = (dst as usize * tile, a as usize * tile);
     assert!(di + n <= bank.len() && ai + n <= bank.len());
     for g in 0..n {
         bank[di + g] = f(bank[ai + g]);
+    }
+}
+
+/// Executes one body instruction over the first `n_groups` groups of
+/// the tile: the one execution path of every opcode, shared by
+/// [`run_tile`] and [`run_tile_profiled`]. The interval arithmetic
+/// opcodes go through [`LaneOrScalar::sweep`], which runs the whole
+/// column in one dispatch for lane types with a fused kernel; the rest
+/// are value-op loops.
+#[inline(always)]
+fn exec_insn<T: VmElem, L: LaneOrScalar<T>>(
+    prep: &PreparedProgram<T>,
+    bk: &mut [L],
+    tile: usize,
+    n_groups: usize,
+    insn: &Insn,
+) {
+    // One `sweep` call per arm keeps each arm's opcode a constant, so
+    // the default value-op loop compiles to that op's loop alone.
+    let arith = |op, dst, a, b, acc| SweepInsn { op, dst, a, b, acc };
+    match *insn {
+        Insn::Add { dst, a, b } => {
+            L::sweep(bk, tile, n_groups, arith(IntervalOp::Add, dst, a, b, a))
+        }
+        Insn::Sub { dst, a, b } => {
+            L::sweep(bk, tile, n_groups, arith(IntervalOp::Sub, dst, a, b, a))
+        }
+        Insn::Mul { dst, a, b } => {
+            L::sweep(bk, tile, n_groups, arith(IntervalOp::Mul, dst, a, b, a))
+        }
+        Insn::Div { dst, a, b } => {
+            L::sweep(bk, tile, n_groups, arith(IntervalOp::Div, dst, a, b, a))
+        }
+        Insn::Sqr { dst, a } => L::sweep(bk, tile, n_groups, arith(IntervalOp::Sqr, dst, a, a, a)),
+        // The accumulate superinstructions keep the product in a machine
+        // register instead of round-tripping a temp column through the
+        // bank — both interval roundings preserved.
+        Insn::MulAdd { dst, a, b, acc } => {
+            L::sweep(bk, tile, n_groups, arith(IntervalOp::MulAdd, dst, a, b, acc))
+        }
+        Insn::MulSub { dst, a, b, acc } => {
+            L::sweep(bk, tile, n_groups, arith(IntervalOp::MulSub, dst, a, b, acc))
+        }
+        // Only non-hoistable constants reach the body (rewritten register
+        // or input-register destination).
+        Insn::Const { dst, idx } => {
+            let v = L::splat_l(T::from_const(&prep.prog.consts[idx as usize]));
+            sweep1(bk, tile, n_groups, dst, dst, |_| v);
+        }
+        Insn::Min { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.min_l(y)),
+        Insn::Max { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.max_l(y)),
+        Insn::Neg { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| -x),
+        Insn::Sqrt { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqrt_l()),
+        Insn::Abs { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.abs_l()),
+        Insn::Pow { dst, a, n } => {
+            // No packed powi kernel: lane-wise is bit-identical because
+            // the lanes are independent.
+            sweep1(bk, tile, n_groups, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(n)))
+        }
     }
 }
 
@@ -257,38 +291,7 @@ pub fn run_tile<T: VmElem, L: LaneOrScalar<T>>(
     let tile = bank.tile;
     let bk = &mut bank.bank[..];
     for insn in &prep.body {
-        match *insn {
-            // Only non-hoistable constants reach the body (rewritten
-            // register or input-register destination).
-            Insn::Const { dst, idx } => {
-                let v = L::splat_l(T::from_const(&prep.prog.consts[idx as usize]));
-                sweep1(bk, tile, n_groups, dst, dst, |_| v);
-            }
-            Insn::Add { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x + y),
-            Insn::Sub { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x - y),
-            Insn::Mul { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x * y),
-            Insn::Div { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x / y),
-            Insn::Min { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.min_l(y)),
-            Insn::Max { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.max_l(y)),
-            Insn::Neg { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| -x),
-            Insn::Sqrt { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqrt_l()),
-            Insn::Abs { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.abs_l()),
-            Insn::Sqr { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqr_l()),
-            Insn::Pow { dst, a, n } => {
-                // No packed powi kernel: lane-wise is bit-identical
-                // because the lanes are independent.
-                sweep1(bk, tile, n_groups, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(n)))
-            }
-            // The accumulate superinstructions keep the product in a
-            // machine register instead of round-tripping a temp column
-            // through the bank — both interval roundings preserved.
-            Insn::MulAdd { dst, a, b, acc } => {
-                sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z + (x * y))
-            }
-            Insn::MulSub { dst, a, b, acc } => {
-                sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z - (x * y))
-            }
-        }
+        exec_insn(prep, bk, tile, n_groups, insn);
     }
     VM_INSNS_EXECUTED.add(prep.body.len() as u64);
     VM_TILES.inc();
@@ -338,34 +341,7 @@ pub fn run_tile_profiled<T: VmElem, L: LaneOrScalar<T>>(
             }
         }
         let t0 = prof.now_ns();
-        {
-            let bk = &mut bank.bank[..];
-            match *insn {
-                Insn::Const { dst, idx } => {
-                    let v = L::splat_l(T::from_const(&prep.prog.consts[idx as usize]));
-                    sweep1(bk, tile, n_groups, dst, dst, |_| v);
-                }
-                Insn::Add { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x + y),
-                Insn::Sub { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x - y),
-                Insn::Mul { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x * y),
-                Insn::Div { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x / y),
-                Insn::Min { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.min_l(y)),
-                Insn::Max { dst, a, b } => sweep2(bk, tile, n_groups, dst, a, b, |x, y| x.max_l(y)),
-                Insn::Neg { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| -x),
-                Insn::Sqrt { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqrt_l()),
-                Insn::Abs { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.abs_l()),
-                Insn::Sqr { dst, a } => sweep1(bk, tile, n_groups, dst, a, |x| x.sqr_l()),
-                Insn::Pow { dst, a, n } => {
-                    sweep1(bk, tile, n_groups, dst, a, |x| L::from_fn_l(|i| x.lane_l(i).powi_e(n)))
-                }
-                Insn::MulAdd { dst, a, b, acc } => {
-                    sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z + (x * y))
-                }
-                Insn::MulSub { dst, a, b, acc } => {
-                    sweep3(bk, tile, n_groups, dst, a, b, acc, |x, y, z| z - (x * y))
-                }
-            }
-        }
+        exec_insn(prep, &mut bank.bank[..], tile, n_groups, insn);
         prof.add_time(oi, prof.now_ns().saturating_sub(t0));
         let di = insn.dst() as usize * tile;
         for g in 0..n_groups {

@@ -12,16 +12,30 @@
 //!    the full `vm_identity` program set: the raw lowering and the
 //!    peepholed program are run side by side over random inputs and
 //!    compared bitwise.
+//! 3. The fused f64 tile sweeps (`F64Ix4`'s `LaneOrScalar::sweep`, one
+//!    AVX2+FMA dispatch per instruction per tile) are bit-identical to
+//!    `run_scalar` for every arithmetic opcode, with register aliasing
+//!    and partial tiles, on special-value lanes, under the detected, SSE2
+//!    and portable backends.
 
 use igen::batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
 use igen::compiler::{
     compile_to_program, compile_to_program_raw, Compiler, Config, OptLevel, Output, Precision,
 };
-use igen::interval::{DdI, F64I};
-use igen::kernels::workload;
+use igen::interval::{DdI, F64Ix4, F64I};
+use igen::kernels::{workload, LaneOrScalar};
 use igen::round::simd::{self, Backend};
-use igen::vm::{peephole, run_scalar, ArgBind, BindSpec};
+use igen::vm::{
+    peephole, run_scalar, run_tile, ArgBind, BindSpec, DebugMap, Insn, OutputSlot, PreparedProgram,
+    Program, TileBank,
+};
 use proptest::prelude::*;
+use std::sync::Mutex;
+
+/// Serializes the tests that force a backend (the override is
+/// process-global): a test pinning one backend must not have another
+/// test restore detection under it.
+static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
 const OPT_LEVELS: [OptLevel; 3] = [OptLevel::O0, OptLevel::O1, OptLevel::O2];
 
@@ -162,6 +176,7 @@ fn forced_sse2_tiled_batch_bit_identical() {
         .collect();
     let soa = BatchF64I::from_intervals(&inputs);
     let cfg = BatchConfig::new().with_threads(2).with_seq_threshold(0);
+    let _serial = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     simd::force_backend(Some(Backend::Sse2));
     let got = bp.run(&cfg, &soa).to_intervals();
     simd::force_backend(None);
@@ -340,4 +355,138 @@ fn peephole_preserves_dd_bits_on_henon() {
             }
         }
     }
+}
+
+/// A hand-written f64 program over inputs `x, y, z` (r0..r2) that runs
+/// every fused arithmetic opcode once on the inputs (outputs 0..6) and
+/// once more with every operand register equal to the destination
+/// (outputs 7..11): `dst == a == b == acc`.
+fn fused_ops_program() -> Program {
+    use Insn::*;
+    let insns = vec![
+        Add { dst: 3, a: 0, b: 1 },
+        Sub { dst: 4, a: 0, b: 1 },
+        Mul { dst: 5, a: 0, b: 1 },
+        Div { dst: 6, a: 0, b: 1 },
+        Sqr { dst: 7, a: 0 },
+        MulAdd { dst: 8, a: 0, b: 1, acc: 2 },
+        MulSub { dst: 9, a: 0, b: 1, acc: 2 },
+        // Aliased forms: seed a register, then overwrite it in place.
+        Add { dst: 10, a: 0, b: 2 },
+        MulAdd { dst: 10, a: 10, b: 10, acc: 10 },
+        Sub { dst: 11, a: 1, b: 2 },
+        MulSub { dst: 11, a: 11, b: 11, acc: 11 },
+        Mul { dst: 12, a: 0, b: 2 },
+        Div { dst: 12, a: 12, b: 12 },
+        Sqr { dst: 13, a: 1 },
+        Sqr { dst: 13, a: 13 },
+        Sub { dst: 14, a: 2, b: 0 },
+        Add { dst: 14, a: 14, b: 14 },
+    ];
+    let regs = [3u32, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
+    let p = Program {
+        name: "fused".into(),
+        precision: igen::vm::Precision::F64,
+        n_inputs: 3,
+        n_regs: 15,
+        consts: vec![],
+        insns,
+        inputs: vec!["x".into(), "y".into(), "z".into()],
+        outputs: regs.iter().map(|&reg| OutputSlot { label: format!("r{reg}"), reg }).collect(),
+        debug: DebugMap::default(),
+    };
+    p.validate().expect("the fused-op program validates");
+    p
+}
+
+/// Special-value lanes: NaN, ±∞, ±0, subnormals, products around
+/// `FMA_RESIDUAL_EXACT_MIN` (≈2.5e-291) and past `f64::MAX`, exact zero
+/// endpoints, and zero-straddling divisors.
+fn f64_special_lanes() -> Vec<F64I> {
+    let sub = f64::from_bits(1);
+    let iv = |lo: f64, hi: f64| F64I::new(lo, hi).expect("ordered");
+    vec![
+        F64I::point(0.0),
+        iv(-0.0, 0.0),
+        F64I::point(-0.0),
+        F64I::point(1.0),
+        F64I::point(0.1),
+        iv(-2.0, 3.0),
+        iv(0.5, 2.0),
+        iv(-2.0, -0.5),
+        iv(-1.0, 0.0),
+        iv(0.0, 1.0),
+        F64I::point(sub),
+        iv(-sub, sub),
+        F64I::point(f64::MIN_POSITIVE),
+        F64I::point(f64::from_bits(0x000f_ffff_ffff_ffff)),
+        F64I::point(1.5e-146),
+        F64I::point(1.6e-145),
+        iv(1e-300, 1e-290),
+        F64I::point(1.4e154),
+        iv(1e300, f64::MAX),
+        F64I::point(-f64::MAX),
+        iv(1.0, f64::INFINITY),
+        F64I::ENTIRE,
+        F64I::NAI,
+        F64I::from_neg_lo_hi(f64::NAN, 1.0),
+    ]
+}
+
+/// Every fused opcode, every ordered pair of special lanes as `(x, y)`
+/// (with a rotating third operand), through `run_tile::<F64I, F64Ix4>`
+/// with full and partial tiles, against `run_scalar` item by item.
+#[test]
+fn fused_tile_sweeps_match_scalar_on_special_lanes() {
+    let p = fused_ops_program();
+    let pool = f64_special_lanes();
+    let n = pool.len();
+    let items: Vec<[F64I; 3]> =
+        (0..n * n).map(|k| [pool[k % n], pool[k / n], pool[(7 * k + 3) % n]]).collect();
+    let want: Vec<Vec<F64I>> = items.iter().map(|it| run_scalar::<F64I>(&p, it)).collect();
+    let prep = PreparedProgram::<F64I>::new(p.clone());
+    let _serial = BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for bk in [Backend::Avx2Fma, Backend::Sse2, Backend::Portable] {
+        if bk > simd::detected_backend() {
+            continue;
+        }
+        let eff = simd::force_backend(Some(bk));
+        for tile in [1usize, 3, 8] {
+            let mut bank = TileBank::<F64I, F64Ix4>::new(&prep, tile);
+            let mut out = Vec::new();
+            let groups = items.len().div_ceil(4);
+            let mut g0 = 0;
+            // Tiles of every fill level 1..=tile, cycling.
+            let mut fill = 1;
+            while g0 < groups {
+                let ng = fill.min(groups - g0);
+                for g in 0..ng {
+                    for r in 0..3u32 {
+                        bank.input_column(r)[g] = F64Ix4::from_fn_l(|l| {
+                            items[((g0 + g) * 4 + l) % items.len()][r as usize]
+                        });
+                    }
+                }
+                run_tile(&prep, &mut bank, ng, &mut out);
+                for (slot, o) in p.outputs.iter().enumerate() {
+                    for g in 0..ng {
+                        for l in 0..4 {
+                            let k = ((g0 + g) * 4 + l) % items.len();
+                            assert_f64_bits(
+                                &out[slot * ng + g].lane_l(l),
+                                &want[k][slot],
+                                &format!(
+                                    "{eff} tile={tile} fill={ng} {} x={} y={} z={}",
+                                    o.label, items[k][0], items[k][1], items[k][2]
+                                ),
+                            );
+                        }
+                    }
+                }
+                g0 += ng;
+                fill = fill % tile + 1;
+            }
+        }
+    }
+    simd::force_backend(None);
 }
