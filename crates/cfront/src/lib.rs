@@ -35,7 +35,7 @@ pub use ast::{
     AssignOp, BinOp, Expr, Function, Item, Loc, Param, Pragma, Stmt, SwitchArm, TranslationUnit,
     Type, Typedef, UnOp, VarDecl,
 };
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use printer::{
     fmt_f64, print_decl_ty, print_expr, print_function, print_stmt, print_unit, type_str,
 };

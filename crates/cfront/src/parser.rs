@@ -4,6 +4,13 @@
 //! cast vs. parenthesized expression); the parser seeds its type-name set
 //! with the builtin scalars, the Intel vector types, and the IGen runtime
 //! types, and extends it at every `typedef`.
+//!
+//! Nesting is bounded: each statement and each sub-expression (a
+//! parenthesis, a prefix operator or cast, an index, a call argument, the
+//! right side of an assignment, either arm of a `?:`) is one level, and a
+//! source nested deeper than [`MAX_NESTING`] levels is a [`ParseError`]
+//! rather than a stack overflow in the parser or in any recursive pass
+//! after it.
 
 use crate::ast::*;
 use crate::token::{lex, LexError, Token, TokenKind};
@@ -61,10 +68,19 @@ const BUILTIN_TYPENAMES: &[&str] = &[
     "m256di_4",
 ];
 
+/// Deepest statement/expression nesting [`parse`] accepts. Every later
+/// pass (transformation, printing, IR, lowering, the interpreter) recurses
+/// over the tree too; at this depth the whole pipeline runs within a 2 MiB
+/// thread stack (the default for the service's workers) even in a debug
+/// build.
+pub const MAX_NESTING: usize = 100;
+
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
     typenames: HashSet<String>,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -73,7 +89,22 @@ impl Parser {
             toks,
             pos: 0,
             typenames: BUILTIN_TYPENAMES.iter().map(|s| s.to_string()).collect(),
+            depth: 0,
         }
+    }
+
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn peek(&self) -> &Token {
@@ -405,6 +436,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Parser::parse_stmt_at)
+    }
+
+    fn parse_stmt_at(&mut self) -> Result<Stmt, ParseError> {
         match &self.peek().kind {
             TokenKind::Pragma(_) => {
                 let TokenKind::Pragma(s) = self.bump().kind else { unreachable!() };
@@ -623,7 +658,7 @@ impl Parser {
         };
         let loc = self.loc();
         self.bump();
-        let rhs = self.parse_assignment()?;
+        let rhs = self.nested(Parser::parse_assignment)?;
         Ok(Expr::Assign { op, lhs: Box::new(lhs), rhs: Box::new(rhs), loc })
     }
 
@@ -633,7 +668,7 @@ impl Parser {
             self.bump();
             let t = self.parse_expr()?;
             self.eat_punct(":")?;
-            let e = self.parse_conditional()?;
+            let e = self.nested(Parser::parse_conditional)?;
             Ok(Expr::Cond(Box::new(cond), Box::new(t), Box::new(e)))
         } else {
             Ok(cond)
@@ -680,6 +715,10 @@ impl Parser {
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Parser::parse_unary_at)
+    }
+
+    fn parse_unary_at(&mut self) -> Result<Expr, ParseError> {
         let op = match &self.peek().kind {
             TokenKind::Punct("-") => Some(UnOp::Neg),
             TokenKind::Punct("+") => Some(UnOp::Plus),
@@ -980,5 +1019,41 @@ mod tests {
             d.ty,
             Type::Array(Box::new(Type::Array(Box::new(Type::Double), Some(8))), Some(4))
         );
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_parse_error() {
+        let too_deep = format!("nesting deeper than {MAX_NESTING} levels");
+        let at = |src: String, ok: bool| match parse(&src) {
+            Ok(_) => assert!(ok, "accepted past the limit: {src}"),
+            Err(e) => {
+                assert!(!ok, "rejected at the limit: {e}");
+                assert_eq!(e.msg, too_deep);
+            }
+        };
+        // The `return` statement and the outermost operand take a level each.
+        let parens =
+            |n| format!("double f(double x) {{ return {}x{}; }}", "(".repeat(n), ")".repeat(n));
+        at(parens(MAX_NESTING - 2), true);
+        at(parens(MAX_NESTING - 1), false);
+        at(parens(20_000), false);
+        let blocks = |n| format!("void f(void) {{ {}{} }}", "{ ".repeat(n), "} ".repeat(n));
+        at(blocks(MAX_NESTING), true);
+        at(blocks(MAX_NESTING + 1), false);
+        let ifs = |n| format!("int f(int k) {{ {}return k; }}", "if (k) ".repeat(n));
+        at(ifs(MAX_NESTING - 2), true);
+        at(ifs(MAX_NESTING - 1), false);
+        // Right-recursive chains nest as deeply as parentheses do.
+        let assigns = |n| format!("int f(int k) {{ k = {}1; return k; }}", "k = ".repeat(n));
+        at(assigns(MAX_NESTING - 3), true);
+        at(assigns(MAX_NESTING - 2), false);
+        let conds = |n| format!("int f(int k) {{ return {}1; }}", "k ? 1 : ".repeat(n));
+        at(conds(MAX_NESTING - 2), true);
+        at(conds(MAX_NESTING - 1), false);
+        let negs = |n| format!("int f(int k) {{ return {}k; }}", "- ".repeat(n));
+        at(negs(MAX_NESTING - 2), true);
+        at(negs(MAX_NESTING - 1), false);
+        // The limit is per nesting path, not per program.
+        at(format!("int f(int k) {{ {}return k; }}", "{ k = ((k)); } ".repeat(10_000)), true);
     }
 }

@@ -6,6 +6,7 @@ use crate::value::Value;
 use igen_cfront::{BinOp, Expr, Function, Item, Loc, Stmt, TranslationUnit, Type, UnOp};
 use igen_interval::{DdI, SumAcc64, SumAccDd, TBool, F64I};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// Runtime error.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,15 +48,15 @@ enum Flow {
 }
 
 /// Resolved assignment target.
-enum Place {
-    Var(String),
+enum Place<'e> {
+    Var(&'e str),
     Heap(usize, i64),
     /// Union lane: variable name holding a [`Value::Union`], lane index.
-    UnionLane(Box<Place>, usize),
+    UnionLane(Box<Place<'e>>, usize),
     /// Union bit view lane (reads/writes f64 lanes as integer bits).
-    UnionBits(Box<Place>, usize),
+    UnionBits(Box<Place<'e>>, usize),
     /// Whole union content from/to a vector value.
-    UnionWhole(Box<Place>),
+    UnionWhole(Box<Place<'e>>),
 }
 
 /// Width-provenance profiling state. Unlike the VM, whose instruction
@@ -108,13 +109,18 @@ fn ia_mnemonic(name: &str) -> &str {
 }
 
 /// The interpreter: owns the program, a heap of arrays, accumulator
-/// stores and the scope stack of the current call.
+/// stores and the bindings of the current call chain.
 pub struct Interp {
-    functions: HashMap<String, Function>,
+    functions: HashMap<String, Rc<Function>>,
     heap: Vec<Vec<Value>>,
     accs64: Vec<SumAcc64>,
     accsdd: Vec<SumAccDd>,
-    scopes: Vec<HashMap<String, Value>>,
+    /// One flat stack of live bindings, innermost last. A declaration
+    /// pushes a binding; a name resolves to the topmost binding of that
+    /// name, so a callee also sees the locals of its callers; a scope
+    /// (call, block, `for`, `switch`) truncates back to the length it
+    /// entered with.
+    vars: Vec<(String, Value)>,
     steps: u64,
     /// Maximum evaluation steps before aborting (defaults to 200M).
     pub step_budget: u64,
@@ -128,7 +134,7 @@ impl Interp {
         for item in &tu.items {
             if let Item::Function(f) = item {
                 if f.body.is_some() {
-                    functions.insert(f.name.clone(), f.clone());
+                    functions.insert(f.name.clone(), Rc::new(f.clone()));
                 }
             }
         }
@@ -137,7 +143,7 @@ impl Interp {
             heap: Vec::new(),
             accs64: Vec::new(),
             accsdd: Vec::new(),
-            scopes: Vec::new(),
+            vars: Vec::new(),
             steps: 0,
             step_budget: 200_000_000,
             prof: None,
@@ -159,7 +165,7 @@ impl Interp {
         for item in &tu.items {
             if let Item::Function(f) = item {
                 if f.body.is_some() {
-                    self.functions.insert(f.name.clone(), f.clone());
+                    self.functions.insert(f.name.clone(), Rc::new(f.clone()));
                 }
             }
         }
@@ -174,7 +180,7 @@ impl Interp {
         self.heap.clear();
         self.accs64.clear();
         self.accsdd.clear();
-        self.scopes.clear();
+        self.vars.clear();
         self.steps = 0;
     }
 
@@ -287,44 +293,59 @@ impl Interp {
                 args.len()
             )));
         }
-        let mut scope = HashMap::new();
+        // The one scope exit that also runs on errors: whatever an
+        // unwinding `?` left open below the call is dropped here.
+        let base = self.vars.len();
         for (p, a) in f.params.iter().zip(args) {
-            scope.insert(p.name.clone(), a);
+            self.declare(&p.name, a);
         }
-        let depth = self.scopes.len();
-        self.scopes.push(scope);
         let body = f.body.as_ref().expect("definition");
         let result = self.exec_block(body);
-        self.scopes.truncate(depth);
+        self.vars.truncate(base);
         match result? {
             Flow::Return(v) => Ok(v),
             _ => Ok(Value::Unit),
         }
     }
 
-    // --- scopes ---------------------------------------------------------
+    // --- bindings -------------------------------------------------------
 
     fn get_var(&self, name: &str) -> Result<Value, RtError> {
-        self.scopes
+        self.vars
             .iter()
             .rev()
-            .find_map(|s| s.get(name))
-            .cloned()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v.clone())
             .ok_or_else(|| RtError::Missing(name.to_string()))
     }
 
     fn set_var(&mut self, name: &str, v: Value) -> Result<(), RtError> {
-        for s in self.scopes.iter_mut().rev() {
-            if let Some(slot) = s.get_mut(name) {
+        match self.vars.iter_mut().rev().find(|(n, _)| n == name) {
+            Some((_, slot)) => {
                 *slot = v;
-                return Ok(());
+                Ok(())
             }
+            None => Err(RtError::Missing(name.to_string())),
         }
-        Err(RtError::Missing(name.to_string()))
     }
 
     fn declare(&mut self, name: &str, v: Value) {
-        self.scopes.last_mut().expect("scope").insert(name.to_string(), v);
+        self.vars.push((name.to_string(), v));
+    }
+
+    /// Drops each binding above `base` that a later one of the same name
+    /// shadows. A loop body that is a bare declaration (or an `if` over
+    /// one) redeclares into the enclosing scope every iteration; this
+    /// keeps that to one binding per name instead of one per iteration.
+    fn drop_shadowed(&mut self, base: usize) {
+        let mut i = base;
+        while i < self.vars.len() {
+            if self.vars[i + 1..].iter().any(|(n, _)| *n == self.vars[i].0) {
+                self.vars.remove(i);
+            } else {
+                i += 1;
+            }
+        }
     }
 
     fn tick(&mut self) -> Result<(), RtError> {
@@ -338,7 +359,7 @@ impl Interp {
     // --- statements -----------------------------------------------------
 
     fn exec_block(&mut self, stmts: &[Stmt]) -> Result<Flow, RtError> {
-        self.scopes.push(HashMap::new());
+        let base = self.vars.len();
         let mut flow = Flow::Normal;
         for s in stmts {
             flow = self.exec(s)?;
@@ -346,7 +367,7 @@ impl Interp {
                 break;
             }
         }
-        self.scopes.pop();
+        self.vars.truncate(base);
         Ok(flow)
     }
 
@@ -376,10 +397,11 @@ impl Interp {
                 }
             }
             Stmt::For { init, cond, step, body } => {
-                self.scopes.push(HashMap::new());
+                let base = self.vars.len();
                 if let Some(i) = init {
                     self.exec(i)?;
                 }
+                let body_base = self.vars.len();
                 let flow = loop {
                     self.tick()?;
                     if let Some(c) = cond {
@@ -392,35 +414,44 @@ impl Interp {
                         Flow::Return(v) => break Flow::Return(v),
                         _ => {}
                     }
+                    self.drop_shadowed(body_base);
                     if let Some(st) = step {
                         self.eval(st)?;
                     }
                 };
-                self.scopes.pop();
+                self.vars.truncate(base);
                 Ok(flow)
             }
-            Stmt::While { cond, body } => loop {
-                self.tick()?;
-                if !self.eval_cond(cond)? {
-                    return Ok(Flow::Normal);
+            Stmt::While { cond, body } => {
+                let base = self.vars.len();
+                loop {
+                    self.tick()?;
+                    if !self.eval_cond(cond)? {
+                        return Ok(Flow::Normal);
+                    }
+                    match self.exec(body)? {
+                        Flow::Break => return Ok(Flow::Normal),
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        _ => {}
+                    }
+                    self.drop_shadowed(base);
                 }
-                match self.exec(body)? {
-                    Flow::Break => return Ok(Flow::Normal),
-                    Flow::Return(v) => return Ok(Flow::Return(v)),
-                    _ => {}
+            }
+            Stmt::DoWhile { body, cond } => {
+                let base = self.vars.len();
+                loop {
+                    self.tick()?;
+                    match self.exec(body)? {
+                        Flow::Break => return Ok(Flow::Normal),
+                        Flow::Return(v) => return Ok(Flow::Return(v)),
+                        _ => {}
+                    }
+                    self.drop_shadowed(base);
+                    if !self.eval_cond(cond)? {
+                        return Ok(Flow::Normal);
+                    }
                 }
-            },
-            Stmt::DoWhile { body, cond } => loop {
-                self.tick()?;
-                match self.exec(body)? {
-                    Flow::Break => return Ok(Flow::Normal),
-                    Flow::Return(v) => return Ok(Flow::Return(v)),
-                    _ => {}
-                }
-                if !self.eval_cond(cond)? {
-                    return Ok(Flow::Normal);
-                }
-            },
+            }
             Stmt::Switch { cond, arms } => {
                 let v = self.eval(cond)?;
                 let Some(n) = v.as_int() else {
@@ -435,7 +466,7 @@ impl Interp {
                 let Some(start) = start else {
                     return Ok(Flow::Normal);
                 };
-                self.scopes.push(HashMap::new());
+                let base = self.vars.len();
                 let mut flow = Flow::Normal;
                 'arms: for arm in &arms[start..] {
                     for st in &arm.body {
@@ -449,7 +480,7 @@ impl Interp {
                         }
                     }
                 }
-                self.scopes.pop();
+                self.vars.truncate(base);
                 Ok(flow)
             }
             Stmt::Return(e) => {
@@ -858,9 +889,9 @@ impl Interp {
         Ok(())
     }
 
-    fn resolve_place(&mut self, e: &Expr) -> Result<Place, RtError> {
+    fn resolve_place<'e>(&mut self, e: &'e Expr) -> Result<Place<'e>, RtError> {
         match e {
-            Expr::Ident(name, _) => Ok(Place::Var(name.clone())),
+            Expr::Ident(name, _) => Ok(Place::Var(name)),
             Expr::Index(base, idx) => {
                 let i = self
                     .eval(idx)?
@@ -936,7 +967,7 @@ impl Interp {
         match p {
             Place::Var(n) => {
                 // Declare-on-assign never happens (decls precede); mutate.
-                self.set_var(&n, v)
+                self.set_var(n, v)
             }
             Place::Heap(o, i) => self.heap_store(o, i, v),
             Place::UnionLane(inner, i) => {
@@ -1032,5 +1063,21 @@ fn union_whole(lanes: &[Value]) -> Value {
     } else {
         // Mixed or default-initialized: treat as doubles.
         Value::VecF64(lanes.iter().map(|l| l.as_f64().unwrap_or(0.0)).collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bare_declaration_loop_bodies_do_not_grow_the_binding_stack() {
+        let src = "int f(void) { int i = 0; while (i < 500) if (i >= 0) int x = i++; \
+                   for (int k = 0; k < 500; k++) int y = k; \
+                   do int z = i--; while (i > 0); return x + z; }";
+        let mut it = Interp::from_source(src).unwrap();
+        assert_eq!(it.call("f", vec![]), Ok(Value::Int(499 + 1)));
+        // Truncation keeps the capacity: it shows the deepest the stack got.
+        assert!(it.vars.capacity() < 16, "binding stack grew to {}", it.vars.capacity());
     }
 }

@@ -43,6 +43,12 @@
 //! its deadline is answered with `deadline expired after Nms in queue`
 //! instead of being executed late. Both are ordinary error responses:
 //! the connection and the server stay up.
+//!
+//! # Panics
+//!
+//! A request whose handler panics is answered with the deterministic
+//! error line `internal error`; the worker that ran it goes on to the
+//! next job, and `metrics` counts it as `igen_session_worker_panics`.
 
 use crate::pipeline::{workload_dd, workload_f64, BindRequest, CompileRequest};
 use crate::Session;
@@ -53,8 +59,9 @@ use igen_telemetry::json::{self, Json};
 use igen_telemetry::Counter;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 static QUEUE_DEPTH_MAX: Counter = Counter::new("session.queue.depth_max");
@@ -168,6 +175,8 @@ struct Shared {
     queue: Mutex<QueueState>,
     job_ready: Condvar,
     depth_max: AtomicU64,
+    /// Jobs whose handler panicked (each answered `internal error`).
+    panics: AtomicU64,
 }
 
 /// The long-running interval service (see module docs).
@@ -189,6 +198,7 @@ impl Service {
             queue: Mutex::new(QueueState { jobs: VecDeque::new(), stop: false }),
             job_ready: Condvar::new(),
             depth_max: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|_| {
@@ -299,6 +309,10 @@ impl Service {
             "igen_session_queue_depth_max {}\n",
             self.shared.depth_max.load(Ordering::Relaxed)
         ));
+        text.push_str(&format!(
+            "igen_session_worker_panics {}\n",
+            self.shared.panics.load(Ordering::Relaxed)
+        ));
         text
     }
 
@@ -348,10 +362,20 @@ fn worker(shared: &Shared) {
             Some((expiry, ms)) if Instant::now() >= expiry => {
                 error_line(&job.id, &format!("deadline expired after {ms}ms in queue"))
             }
-            _ => handle(&shared.session, &job),
+            _ => isolate(&job.id, &shared.panics, || handle(&shared.session, &job)),
         };
         job.slot.fill(line);
     }
+}
+
+/// Runs one job's handler so that a panic in it answers the job with a
+/// deterministic `internal error` line (and bumps `panics`) instead of
+/// leaving its ticket unfilled and killing the worker.
+fn isolate(id: &Option<String>, panics: &AtomicU64, run: impl FnOnce() -> String) -> String {
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+        panics.fetch_add(1, Ordering::Relaxed);
+        error_line(id, "internal error")
+    })
 }
 
 fn handle(session: &Session, job: &Job) -> String {
@@ -440,7 +464,9 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
     // The profile registry is global and accumulates across requests,
     // so diff this run's contribution under a lock and restore the
     // recording flag — responses stay a pure function of the request.
-    let _guard = PROFILE_LOCK.lock().expect("profile lock poisoned");
+    // The lock guards no data, so a panic under it (answered by
+    // `isolate`) must not disable every later profile request.
+    let _guard = PROFILE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let before = igen_telemetry::snapshot().profiles;
     let was_recording = igen_telemetry::recording();
     igen_telemetry::set_recording(true);
@@ -812,5 +838,26 @@ fn serve_connection(
             }
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_is_answered_and_its_worker_goes_on() {
+        let panics = AtomicU64::new(0);
+        let id = Some("7".to_string());
+        let line = isolate(&id, &panics, || panic!("handler bug"));
+        assert_eq!(line, r#"{"id":7,"ok":false,"error":"internal error"}"#);
+        assert_eq!(panics.load(Ordering::Relaxed), 1);
+        // The same thread answers the next job normally.
+        assert_eq!(isolate(&None, &panics, || "next".to_string()), "next");
+        assert_eq!(
+            isolate(&None, &panics, || panic!()),
+            r#"{"ok":false,"error":"internal error"}"#
+        );
+        assert_eq!(panics.load(Ordering::Relaxed), 2);
     }
 }
