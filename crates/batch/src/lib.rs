@@ -60,5 +60,5 @@ pub use kernels::{
     dot_batch, dot_batch_dd, ffnn_batch, gemm_row_blocks, henon_ensemble, henon_ensemble_dd,
     mvm_batch, mvm_batch_dd,
 };
-pub use program::BatchProgram;
+pub use program::{BatchProgram, SoaBatch};
 pub use soa::{BatchDdI, BatchF64I};

@@ -14,7 +14,9 @@
 use crate::Output;
 use igen_interp::{Interp, RtError, Value};
 use igen_interval::{capi, DdI, F64I};
-use igen_vm::{lower, ArgBind, BindSpec, Precision, Program};
+use igen_vm::{
+    lower, run_tile, ArgBind, BindSpec, Precision, PreparedProgram, Program, TileBank, VmElem,
+};
 
 /// Why a compiler output could not be turned into (or checked against)
 /// a bytecode program.
@@ -249,7 +251,7 @@ pub fn interp_reference_dd(
     Ok(outputs)
 }
 
-/// Runs every item through both the bytecode VM (scalar width) and the
+/// Runs every item through both the bytecode VM and the
 /// transformed-unit interpreter and demands bit-identical endpoints on
 /// every declared output.
 ///
@@ -272,37 +274,10 @@ pub fn verify_bit_identity(
     items: &[F64I],
 ) -> Result<(), VmBridgeError> {
     assert_eq!(program.precision, Precision::F64, "use verify_bit_identity_dd for dd programs");
-    let _span = igen_telemetry::span("vm.verify");
-    let nin = program.n_inputs as usize;
-    let n_items = items.len().checked_div(nin).unwrap_or(1);
-    if nin > 0 {
-        assert_eq!(items.len() % nin, 0, "items must be a multiple of n_inputs");
-    }
-    let mut interp = Interp::new(&out.unit);
-    for item in 0..n_items {
-        let inputs = &items[item * nin..(item + 1) * nin];
-        let got = igen_vm::run_scalar::<F64I>(program, inputs);
-        let want = interp_reference(&mut interp, &program.name, bind, inputs)?;
-        if got.len() != want.len() {
-            return Err(VmBridgeError::Shape(format!(
-                "vm produced {} outputs, interpreter {}",
-                got.len(),
-                want.len()
-            )));
-        }
-        for (slot, (g, w)) in program.outputs.iter().zip(got.iter().zip(&want)) {
-            let same = g.lo().to_bits() == w.lo().to_bits() && g.hi().to_bits() == w.hi().to_bits();
-            if !same {
-                return Err(VmBridgeError::Mismatch {
-                    label: slot.label.clone(),
-                    item,
-                    got: (g.lo(), g.hi()),
-                    want: (w.lo(), w.hi()),
-                });
-            }
-        }
-    }
-    Ok(())
+    let bits = |v: &F64I| [v.lo().to_bits(), v.hi().to_bits()];
+    let reference =
+        |interp: &mut Interp, x: &[F64I]| interp_reference(interp, &program.name, bind, x);
+    verify_items(out, program, items, reference, |g, w| bits(g) == bits(w))
 }
 
 /// Double-double twin of [`verify_bit_identity`]: compares both
@@ -322,37 +297,61 @@ pub fn verify_bit_identity_dd(
     items: &[DdI],
 ) -> Result<(), VmBridgeError> {
     assert_eq!(program.precision, Precision::Dd, "use verify_bit_identity for f64 programs");
+    let bits = |d: &DdI| {
+        let (lo, hi) = (d.lo(), d.hi());
+        [lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
+    };
+    let reference =
+        |interp: &mut Interp, x: &[DdI]| interp_reference_dd(interp, &program.name, bind, x);
+    verify_items(out, program, items, reference, |g, w| bits(g) == bits(w))
+}
+
+/// The shared self-check body: prepares `program` once, runs every item
+/// as one group of a single scalar-width tile, then replays the items
+/// through `reference` in order and returns the first difference that
+/// `same` rejects (reported as f64 endpoint pairs).
+fn verify_items<T: VmElem>(
+    out: &Output,
+    program: &Program,
+    items: &[T],
+    reference: impl Fn(&mut Interp, &[T]) -> Result<Vec<T>, VmBridgeError>,
+    same: impl Fn(&T, &T) -> bool,
+) -> Result<(), VmBridgeError> {
     let _span = igen_telemetry::span("vm.verify");
     let nin = program.n_inputs as usize;
     let n_items = items.len().checked_div(nin).unwrap_or(1);
     if nin > 0 {
         assert_eq!(items.len() % nin, 0, "items must be a multiple of n_inputs");
     }
-    let bits = |d: &DdI| {
-        let (lo, hi) = (d.lo(), d.hi());
-        [lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
-    };
+    let prep = PreparedProgram::<T>::new(program.clone());
+    let mut bank = TileBank::<T, T>::new(&prep, n_items.max(1));
+    for j in 0..nin {
+        let col = bank.input_column(j as u32);
+        for (item, slot) in col.iter_mut().enumerate().take(n_items) {
+            *slot = items[item * nin + j];
+        }
+    }
+    // Slot-major: output `s` of item `i` is `got[s * n_items + i]`.
+    let mut got = Vec::new();
+    run_tile(&prep, &mut bank, n_items, &mut got);
+    let nout = program.outputs.len();
     let mut interp = Interp::new(&out.unit);
     for item in 0..n_items {
-        let inputs = &items[item * nin..(item + 1) * nin];
-        let got = igen_vm::run_scalar::<DdI>(program, inputs);
-        let want = interp_reference_dd(&mut interp, &program.name, bind, inputs)?;
-        if got.len() != want.len() {
+        let want = reference(&mut interp, &items[item * nin..(item + 1) * nin])?;
+        if want.len() != nout {
             return Err(VmBridgeError::Shape(format!(
-                "vm produced {} outputs, interpreter {}",
-                got.len(),
+                "vm produced {nout} outputs, interpreter {}",
                 want.len()
             )));
         }
-        for (slot, (g, w)) in program.outputs.iter().zip(got.iter().zip(&want)) {
-            if bits(g) != bits(w) {
-                let gf = g.to_f64i();
-                let wf = w.to_f64i();
+        for (s, (slot, w)) in program.outputs.iter().zip(&want).enumerate() {
+            let g = &got[s * n_items + item];
+            if !same(g, w) {
                 return Err(VmBridgeError::Mismatch {
                     label: slot.label.clone(),
                     item,
-                    got: (gf.lo(), gf.hi()),
-                    want: (wf.lo(), wf.hi()),
+                    got: g.endpoints_f64(),
+                    want: w.endpoints_f64(),
                 });
             }
         }

@@ -52,7 +52,7 @@
 
 use crate::pipeline::{workload_dd, workload_f64, BindRequest, CompileRequest};
 use crate::Session;
-use igen_batch::{BatchConfig, BatchDdI, BatchF64I};
+use igen_batch::{available_threads, BatchConfig, BatchDdI, BatchF64I};
 use igen_core::{Config, OptLevel, Precision};
 use igen_interval::{DdI, F64I};
 use igen_telemetry::json::{self, Json};
@@ -74,6 +74,13 @@ static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 /// Hard ceiling on per-request batch sizes (a service must not let one
 /// request allocate unbounded memory).
 const MAX_BATCH: u64 = 1 << 20;
+
+/// Hard ceiling on a `run` request's `"tile"` (packed groups per
+/// executor tile): 8× the default, past the 4–16 range measured flat. A
+/// tile sizes every worker's register bank (`n_regs × tile` lane
+/// vectors), so an unclamped value would let one request allocate
+/// without bound.
+const MAX_TILE_GROUPS: u64 = 64;
 
 /// Hard ceiling on `ping` `sleep_ms` (tests use sleeps to fill the
 /// queue deterministically; nothing should park a worker for minutes).
@@ -190,7 +197,7 @@ pub struct Service {
 impl Service {
     /// Starts the worker pool.
     pub fn start(cfg: ServiceConfig) -> Service {
-        let workers = if cfg.workers == 0 { igen_batch::available_threads() } else { cfg.workers };
+        let workers = if cfg.workers == 0 { available_threads() } else { cfg.workers };
         let queue_cap =
             if cfg.queue_cap == 0 { ServiceConfig::DEFAULT_QUEUE_CAP } else { cfg.queue_cap };
         let shared = Arc::new(Shared {
@@ -418,12 +425,7 @@ fn handle_compile(session: &Session, body: &Json) -> Result<String, String> {
 fn handle_run(session: &Session, body: &Json) -> Result<String, String> {
     let req = compile_request("run", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
-    let threads = get_u64(body, "threads", 1)? as usize;
-    let tile = get_u64(body, "tile", 0)? as usize;
-    // seq_threshold 0 + the engine's bit-identity invariant: the same
-    // request yields the same output bits at any thread/tile setting.
-    let bcfg =
-        BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
+    let bcfg = run_config(body)?;
     let nin = unit.n_inputs();
     let (batch, seed) = seeded_batch(body)?;
     let (items, outputs) = match req.cfg.precision {
@@ -436,7 +438,7 @@ fn handle_run(session: &Session, body: &Json) -> Result<String, String> {
                 }
                 None => workload_dd(&unit, batch, seed),
             };
-            let out = unit.batch.run_dd(&bcfg, &soa);
+            let out = unit.batch.run(&bcfg, &soa);
             (soa.len() / nin, render_dd_outputs(&out))
         }
         _ => {
@@ -452,6 +454,18 @@ fn handle_run(session: &Session, body: &Json) -> Result<String, String> {
         "\"kind\":\"run\",\"fn\":{},\"items\":{items},\"outputs\":{outputs}",
         json::escape(&unit.fn_name),
     ))
+}
+
+/// The batch configuration a `run` request asks for, with `"threads"`
+/// clamped to the machine's available parallelism (a request must not
+/// start one OS thread per tile) and `"tile"` to [`MAX_TILE_GROUPS`].
+/// seq_threshold 0 plus the engine's bit-identity invariant: the same
+/// request yields the same output bits at any thread/tile setting, so
+/// the clamps never change a response.
+fn run_config(body: &Json) -> Result<BatchConfig, String> {
+    let threads = get_u64(body, "threads", 1)?.min(available_threads() as u64) as usize;
+    let tile = get_u64(body, "tile", 0)?.min(MAX_TILE_GROUPS) as usize;
+    Ok(BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile))
 }
 
 fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
@@ -474,7 +488,7 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
     match req.cfg.precision {
         Precision::Dd => {
             let soa = workload_dd(&unit, batch, seed);
-            unit.batch.run_dd_profiled(&bcfg, &soa, &mut prof);
+            unit.batch.run_profiled(&bcfg, &soa, &mut prof);
         }
         _ => {
             let soa = workload_f64(&unit, batch, seed);
@@ -859,5 +873,23 @@ mod tests {
             r#"{"ok":false,"error":"internal error"}"#
         );
         assert_eq!(panics.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn run_threads_and_tile_are_clamped() {
+        let cfg = |line: &str| run_config(&json::parse(line).expect("json")).expect("config");
+        // Only the configuration is built: no thread is started here.
+        let huge = cfg(r#"{"threads":1000000,"tile":1099511627776}"#);
+        assert_eq!(huge.threads(), available_threads());
+        assert_eq!(huge.tile_groups(), MAX_TILE_GROUPS as usize);
+        let zero = cfg(r#"{"threads":0,"tile":0}"#);
+        assert_eq!(zero.threads(), available_threads());
+        assert_eq!(zero.tile_groups(), igen_batch::DEFAULT_TILE_GROUPS);
+        let small = cfg(r#"{"threads":1,"tile":5}"#);
+        assert_eq!((small.threads(), small.tile_groups()), (1, 5));
+        let dflt = cfg("{}");
+        assert_eq!((dflt.threads(), dflt.tile_groups()), (1, igen_batch::DEFAULT_TILE_GROUPS));
+        assert_eq!(dflt.seq_threshold(), 0);
+        assert!(run_config(&json::parse(r#"{"threads":-1}"#).expect("json")).is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! into a compact register [`Program`] — one flat instruction stream
 //! over dense virtual registers, constants pooled and deduplicated,
 //! inputs and outputs declared up front — and executes it with a
-//! single lane-generic interpreter loop, [`run_lanes`].
+//! single lane-generic, tiled interpreter loop, [`run_tile`].
 //!
 //! The same program runs at scalar width (`F64I`, `DdI`) and at packed
 //! width (`F64Ix4`, `DdIx4` via the `LaneOps` kernels) from one code
@@ -26,7 +26,7 @@ pub mod peephole;
 pub mod prepared;
 
 pub use bytecode::{DebugMap, Insn, OutputSlot, PoolConst, Precision, Program, SrcLoc};
-pub use exec::{program_width_hist, run_lanes, run_scalar, run_scalar_profiled, VmElem};
+pub use exec::{program_width_hist, run_scalar, VmElem};
 pub use lower::{lower, ArgBind, BindSpec, LowerError, DEFAULT_STEP_BUDGET, MAX_INSNS};
 pub use peephole::{peephole, PeepholeStats};
 pub use prepared::{run_tile, run_tile_profiled, PreparedProgram, TileBank, DEFAULT_TILE_GROUPS};

@@ -1,20 +1,23 @@
-//! The tiled, instruction-major executor.
+//! The tiled, instruction-major executor: the one loop that executes
+//! bytecode.
 //!
-//! [`run_lanes`](crate::exec::run_lanes) pays the full instruction
-//! match and operand decode once per 4-item group; on short programs
-//! that dispatch overhead is most of the runtime. [`run_tile`] flips
-//! the loop nest: the register file becomes a SoA *bank* of `TILE`
-//! packed groups per register (`bank[reg * tile + g]`), each
-//! instruction is decoded once per tile, and the inner loop is a
-//! tight, branch-free sweep over the contiguous group column — the
-//! classic vectorized-interpreter trick, applied to interval lanes.
-//! With `TILE = 8` packed groups, one decode covers 32 items.
+//! Decoding every instruction once per item (or per 4-item group) makes
+//! dispatch most of the runtime on short programs. [`run_tile`] flips
+//! the loop nest: the register file is a SoA *bank* of `TILE` groups
+//! per register (`bank[reg * tile + g]`), each instruction is decoded
+//! once per tile, and the inner loop is a tight, branch-free sweep over
+//! the contiguous group column — the classic vectorized-interpreter
+//! trick, applied to interval lanes. With `TILE = 8` packed groups, one
+//! decode covers 32 items. The same loop runs at packed width (`L =
+//! T::Lane`) and at scalar width (`L = T`: the batch tail,
+//! [`run_scalar`](crate::exec::run_scalar) and the compile-time
+//! self-check); [`run_tile_profiled`] adds a per-instruction hook.
 //!
 //! Two pieces of per-call waste are also hoisted to preparation time:
 //!
 //! * [`PreparedProgram`] decodes every pool constant **once per
-//!   (program, element type)** — `Insn::Const` in the plain executor
-//!   re-decodes and re-splats on every call.
+//!   (program, element type)** instead of re-decoding and re-splatting
+//!   an `Insn::Const` on every call.
 //! * [`TileBank`] is built once per worker and pre-fills the constant
 //!   columns, so a call only writes the input columns and the scratch
 //!   registers the program itself defines. There is no per-call
@@ -24,14 +27,15 @@
 //! Execution order within a tile is *group-major per instruction*
 //! (instruction-major overall), but every value computed for group `g`
 //! depends only on column `g` — the columns never interact — so the
-//! results are bit-identical to running each group alone through
-//! `run_lanes`, for any tile size. That keeps the batch determinism
+//! results are bit-identical to running each group alone as a
+//! one-group tile, for any tile size. That keeps the batch determinism
 //! guarantee: tile size, like thread count, cannot change a single
 //! endpoint bit.
 
 use crate::bytecode::{Insn, Program};
 use crate::exec::{VmElem, VM_INSNS_EXECUTED};
 use igen_kernels::{IntervalOp, LaneOrScalar, SweepInsn};
+use igen_telemetry::profile::rel_width;
 use igen_telemetry::Counter;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,11 +213,10 @@ fn sweep1<L: Copy>(bank: &mut [L], tile: usize, n: usize, dst: u32, a: u32, f: i
 }
 
 /// Executes one body instruction over the first `n_groups` groups of
-/// the tile: the one execution path of every opcode, shared by
-/// [`run_tile`] and [`run_tile_profiled`]. The interval arithmetic
-/// opcodes go through [`LaneOrScalar::sweep`], which runs the whole
-/// column in one dispatch for lane types with a fused kernel; the rest
-/// are value-op loops.
+/// the tile: the one execution path of every opcode. The interval
+/// arithmetic opcodes go through [`LaneOrScalar::sweep`], which runs
+/// the whole column in one dispatch for lane types with a fused kernel;
+/// the rest (and every opcode at scalar width) are value-op loops.
 #[inline(always)]
 fn exec_insn<T: VmElem, L: LaneOrScalar<T>>(
     prep: &PreparedProgram<T>,
@@ -272,9 +275,8 @@ fn exec_insn<T: VmElem, L: LaneOrScalar<T>>(
 /// outputs land in `outputs` slot-major: `outputs[slot * n_groups + g]`
 /// is output `slot` for group `g`.
 ///
-/// Bit-identical to running each group alone through
-/// [`run_lanes`](crate::exec::run_lanes), for every tile size and lane
-/// width — see the module docs.
+/// Bit-identical to running each group alone as a one-group tile, for
+/// every tile size and lane width — see the module docs.
 ///
 /// # Panics
 ///
@@ -286,12 +288,72 @@ pub fn run_tile<T: VmElem, L: LaneOrScalar<T>>(
     n_groups: usize,
     outputs: &mut Vec<L>,
 ) {
+    tile_loop(prep, bank, n_groups, outputs, None);
+}
+
+/// [`run_tile`] with per-instruction profiling. Each body instruction's
+/// sweep over the tile is timed as one sample against its *original*
+/// instruction index (the hoisted-constant split shifts body positions,
+/// so the prepared program carries the index map), and every element it
+/// produced contributes an input/output width sample.
+///
+/// The sweeps are the exact loop of [`run_tile`] — the profiler reads
+/// the bank between instructions, never inside a sweep — so the outputs
+/// are bit-identical to an unprofiled run. When `prof` is inactive
+/// (telemetry compiled out or recording off) this is [`run_tile`].
+pub fn run_tile_profiled<T: VmElem, L: LaneOrScalar<T>>(
+    prep: &PreparedProgram<T>,
+    bank: &mut TileBank<T, L>,
+    n_groups: usize,
+    outputs: &mut Vec<L>,
+    prof: &mut igen_telemetry::UnitProfiler,
+) {
+    let prof = if prof.active() { Some(prof) } else { None };
+    tile_loop(prep, bank, n_groups, outputs, prof);
+}
+
+/// The one loop over body instructions. The profiler is checked once
+/// per instruction, outside the sweep; [`run_tile`] passes `None`, so
+/// once inlined its loop is the bare sweep sequence.
+#[inline(always)]
+fn tile_loop<T: VmElem, L: LaneOrScalar<T>>(
+    prep: &PreparedProgram<T>,
+    bank: &mut TileBank<T, L>,
+    n_groups: usize,
+    outputs: &mut Vec<L>,
+    mut prof: Option<&mut igen_telemetry::UnitProfiler>,
+) {
     assert_eq!(bank.prep_id, prep.id, "tile bank was built for a different program");
     assert!(n_groups <= bank.tile, "n_groups {} exceeds tile {}", n_groups, bank.tile);
     let tile = bank.tile;
     let bk = &mut bank.bank[..];
-    for insn in &prep.body {
+    // Per-element input widths of the profiled instruction, reused.
+    let mut max_in = Vec::new();
+    for (bi, insn) in prep.body.iter().enumerate() {
+        let Some(prof) = prof.as_deref_mut() else {
+            exec_insn(prep, bk, tile, n_groups, insn);
+            continue;
+        };
+        let oi = prep.body_idx[bi] as usize;
+        let site = prep.prog.debug.site(oi);
+        prof.set_meta(oi, site.line, site.col, insn.op_name());
+        // Input widths are read before the sweep: the renumbered
+        // programs reuse registers, so dst may alias a source.
+        max_in.clear();
+        for g in 0..n_groups {
+            for l in 0..L::WIDTH {
+                let at = |r: u32| bk[r as usize * tile + g].lane_l(l).endpoints_f64();
+                max_in.push(max_src_rel(insn, at));
+            }
+        }
+        let t0 = prof.now_ns();
         exec_insn(prep, bk, tile, n_groups, insn);
+        prof.add_time(oi, prof.now_ns().saturating_sub(t0));
+        let di = insn.dst() as usize * tile;
+        for (e, &w_in) in max_in.iter().enumerate() {
+            let (lo, hi) = bk[di + e / L::WIDTH].lane_l(e % L::WIDTH).endpoints_f64();
+            prof.add_sample(oi, w_in, rel_width(lo, hi));
+        }
     }
     VM_INSNS_EXECUTED.add(prep.body.len() as u64);
     VM_TILES.inc();
@@ -302,62 +364,22 @@ pub fn run_tile<T: VmElem, L: LaneOrScalar<T>>(
     }
 }
 
-/// [`run_tile`] with per-instruction profiling. Each body instruction's
-/// sweep over the tile is timed as one sample against its *original*
-/// instruction index (the hoisted-constant split shifts body positions,
-/// so the prepared program carries the index map), and every element it
-/// produced contributes an input/output width sample.
-///
-/// The sweeps themselves are the exact loops of [`run_tile`] — the
-/// profiler reads the bank between instructions, never inside a sweep —
-/// so the outputs are bit-identical to an unprofiled run. When `prof`
-/// is inactive this falls straight through to [`run_tile`].
-pub fn run_tile_profiled<T: VmElem, L: LaneOrScalar<T>>(
-    prep: &PreparedProgram<T>,
-    bank: &mut TileBank<T, L>,
-    n_groups: usize,
-    outputs: &mut Vec<L>,
-    prof: &mut igen_telemetry::UnitProfiler,
-) {
-    use igen_telemetry::profile::rel_width;
-    if !prof.active() {
-        return run_tile(prep, bank, n_groups, outputs);
-    }
-    assert_eq!(bank.prep_id, prep.id, "tile bank was built for a different program");
-    assert!(n_groups <= bank.tile, "n_groups {} exceeds tile {}", n_groups, bank.tile);
-    let tile = bank.tile;
-    for (bi, insn) in prep.body.iter().enumerate() {
-        let oi = prep.body_idx[bi] as usize;
-        let site = prep.prog.debug.site(oi);
-        prof.set_meta(oi, site.line, site.col, insn.op_name());
-        // Input widths are read before the sweep: the renumbered
-        // programs reuse registers, so dst may alias a source.
-        let mut max_in = vec![0.0f64; n_groups * L::WIDTH];
-        for g in 0..n_groups {
-            for l in 0..L::WIDTH {
-                max_in[g * L::WIDTH + l] = crate::exec::max_src_rel(insn, |r| {
-                    bank.bank[r as usize * tile + g].lane_l(l).endpoints_f64()
-                });
-            }
+/// Largest relative input width of `insn`'s source registers, or `0.0`
+/// for a zero-operand instruction (a `Const` is a width *source*: any
+/// width at its output is width introduced, not amplified).
+fn max_src_rel(insn: &Insn, at: impl Fn(u32) -> (f64, f64)) -> f64 {
+    let mut max_in = 0.0f64;
+    for r in crate::peephole::srcs(insn) {
+        let (lo, hi) = at(r);
+        let w = rel_width(lo, hi);
+        // NaN operands poison the max (NaN.max keeps the other side,
+        // so propagate by hand): the sample lands in the top bucket.
+        if w.is_nan() {
+            return f64::NAN;
         }
-        let t0 = prof.now_ns();
-        exec_insn(prep, &mut bank.bank[..], tile, n_groups, insn);
-        prof.add_time(oi, prof.now_ns().saturating_sub(t0));
-        let di = insn.dst() as usize * tile;
-        for g in 0..n_groups {
-            for l in 0..L::WIDTH {
-                let (lo, hi) = bank.bank[di + g].lane_l(l).endpoints_f64();
-                prof.add_sample(oi, max_in[g * L::WIDTH + l], rel_width(lo, hi));
-            }
-        }
+        max_in = max_in.max(w);
     }
-    VM_INSNS_EXECUTED.add(prep.body.len() as u64);
-    VM_TILES.inc();
-    outputs.clear();
-    for o in &prep.prog.outputs {
-        let oi = o.reg as usize * tile;
-        outputs.extend_from_slice(&bank.bank[oi..oi + n_groups]);
-    }
+    max_in
 }
 
 #[cfg(test)]

@@ -510,10 +510,10 @@ fn run_run(args: &[String]) -> ExitCode {
             }
             let soa = BatchDdI::from_intervals(&ivals);
             let t = Instant::now();
-            let a = unit.batch.run_dd(&seq, &soa);
+            let a = unit.batch.run(&seq, &soa);
             let t1 = t.elapsed();
             let t = Instant::now();
-            let b = unit.batch.run_dd(&par, &soa);
+            let b = unit.batch.run(&par, &soa);
             (t1, t.elapsed(), a == b)
         }
         _ => {
@@ -666,11 +666,11 @@ fn run_profile(args: &[String]) -> ExitCode {
         Precision::Dd => {
             let ivals = workload::dd_intervals_1ulp(&mut rng, batch * nin, -2.0, 2.0);
             let soa = BatchDdI::from_intervals(&ivals);
-            let a = unit.batch.run_dd(&seq, &soa);
-            let b = unit.batch.run_dd(&par, &soa);
+            let a = unit.batch.run(&seq, &soa);
+            let b = unit.batch.run(&par, &soa);
             igen::telemetry::set_recording(true);
             let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
-            let c = unit.batch.run_dd_profiled(&seq, &soa, &mut prof);
+            let c = unit.batch.run_profiled(&seq, &soa, &mut prof);
             prof.finish();
             a == b && a == c
         }

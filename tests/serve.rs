@@ -216,3 +216,29 @@ fn serve_flag_errors_are_one_line_exit_2() {
         "igen-cli: unknown serve option '--frobnicate' (see igen-cli --help)"
     );
 }
+
+/// `threads` and `tile` only choose how a `run` executes, never what it
+/// answers: every setting (including a tile far past the service's
+/// clamp) yields the same response bytes, for f64 and dd, over a batch
+/// of several packed tiles plus a scalar tail. Thread counts stay
+/// small: a test must never ask for many OS threads.
+#[test]
+fn run_answers_are_byte_identical_across_threads_and_tiles() {
+    for precision in ["f64", "dd"] {
+        let mut requests = Vec::new();
+        for threads in [1u64, 2] {
+            for tile in [0u64, 1, 5, 1 << 40] {
+                requests.push(format!(
+                    r#"{{"id":1,"kind":"run","source":"{SQ}","precision":"{precision}","batch":13,"seed":5,"threads":{threads},"tile":{tile}}}"#
+                ));
+            }
+        }
+        let responses = serve_session(&["--workers", "2"], &requests);
+        assert_eq!(responses.len(), requests.len(), "{responses:?}");
+        assert!(responses[0].contains(r#""ok":true"#), "{}", responses[0]);
+        assert!(responses[0].contains(r#""items":13"#), "{}", responses[0]);
+        for (req, resp) in requests.iter().zip(&responses) {
+            assert_eq!(resp, &responses[0], "{precision}: {req}");
+        }
+    }
+}

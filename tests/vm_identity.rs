@@ -9,11 +9,11 @@
 use igen::batch::{BatchConfig, BatchF64I, BatchProgram};
 use igen::compiler::{
     compile_to_program, verify_bit_identity, verify_bit_identity_dd, Compiler, Config, OptLevel,
-    Output, Precision,
+    Output, Precision, VmBridgeError,
 };
-use igen::interval::F64I;
+use igen::interval::{DdI, F64I};
 use igen::kernels::workload;
-use igen::vm::{ArgBind, BindSpec};
+use igen::vm::{ArgBind, BindSpec, Insn, Program};
 
 fn compile(src: &str, opt: OptLevel) -> Output {
     let cfg = Config { opt_level: opt, ..Config::default() };
@@ -221,4 +221,80 @@ fn batch_layout_matches_per_item_runs() {
         assert_eq!(g.lo().to_bits(), w.lo().to_bits());
         assert_eq!(g.hi().to_bits(), w.hi().to_bits());
     }
+}
+
+/// `pair` lowered to bytecode with its one `Add` (`out[1] = x + y`)
+/// mutated to `Sub`, and four items whose first two have `y = 0`, where
+/// `x + y` and `x - y` agree bit for bit: the first mismatch is item 2.
+fn mutated_pair(out: &Output) -> (Program, BindSpec, [(f64, f64); 8]) {
+    let bind = BindSpec::new(vec![ArgBind::Ival, ArgBind::Ival, ArgBind::Out(2)]);
+    let mut prog = compile_to_program(out, "pair", &bind).expect("lowers");
+    let adds: Vec<usize> =
+        (0..prog.insns.len()).filter(|&i| matches!(prog.insns[i], Insn::Add { .. })).collect();
+    assert_eq!(adds.len(), 1, "{}", prog.dump());
+    if let Insn::Add { dst, a, b } = prog.insns[adds[0]] {
+        prog.insns[adds[0]] = Insn::Sub { dst, a, b };
+    }
+    let items = [
+        (1.0, 2.0),
+        (0.0, 0.0),
+        (-3.0, -1.0),
+        (0.0, 0.0),
+        (0.5, 0.75),
+        (1.0, 1.5),
+        (2.0, 3.0),
+        (4.0, 5.0),
+    ];
+    (prog, bind, items)
+}
+
+const PAIR: &str = r#"
+    void pair(double x, double y, double* out) {
+        out[0] = x * y;
+        out[1] = x + y;
+    }
+"#;
+
+/// The self-check's negative path: bytecode that disagrees with the
+/// interpreter is reported as the first differing item and output, with
+/// the VM's and the interpreter's endpoints.
+#[test]
+fn self_check_reports_the_first_mismatch_f64() {
+    let out = compile(PAIR, OptLevel::O0);
+    let (prog, bind, items) = mutated_pair(&out);
+    let items: Vec<F64I> = items.iter().map(|&(lo, hi)| F64I::new(lo, hi).unwrap()).collect();
+    let good = compile_to_program(&out, "pair", &bind).expect("lowers");
+    verify_bit_identity(&out, &good, &bind, &items).expect("unmutated bytecode verifies");
+    let err = verify_bit_identity(&out, &prog, &bind, &items).expect_err("mutation is caught");
+    assert_eq!(
+        err,
+        VmBridgeError::Mismatch {
+            label: "out[1]".into(),
+            item: 2,
+            got: (-1.0, -0.25),
+            want: (1.5, 2.25)
+        }
+    );
+}
+
+/// [`self_check_reports_the_first_mismatch_f64`] at double-double
+/// precision.
+#[test]
+fn self_check_reports_the_first_mismatch_dd() {
+    let out = compile_dd(PAIR, OptLevel::O0);
+    let (prog, bind, items) = mutated_pair(&out);
+    let items: Vec<DdI> =
+        items.iter().map(|&(lo, hi)| DdI::from_f64i(&F64I::new(lo, hi).unwrap())).collect();
+    let good = compile_to_program(&out, "pair", &bind).expect("lowers");
+    verify_bit_identity_dd(&out, &good, &bind, &items).expect("unmutated bytecode verifies");
+    let err = verify_bit_identity_dd(&out, &prog, &bind, &items).expect_err("mutation is caught");
+    assert_eq!(
+        err,
+        VmBridgeError::Mismatch {
+            label: "out[1]".into(),
+            item: 2,
+            got: (-1.0, -0.25),
+            want: (1.5, 2.25)
+        }
+    );
 }

@@ -4,10 +4,11 @@
 //! lowering, the IR passes, peephole rewriting and register renumbering
 //! — so the blame report can name real source lines at `-O2`.
 
-use igen::batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram};
+use igen::batch::{BatchConfig, BatchDdI, BatchF64I, BatchProgram, SoaBatch};
 use igen::compiler::{
     compile_to_program, compile_to_program_raw, Compiler, Config, OptLevel, Output, Precision,
 };
+use igen::interval::{DdI, F64I};
 use igen::kernels::workload;
 use igen::vm::{ArgBind, BindSpec};
 
@@ -25,6 +26,44 @@ fn compile(src: &str, opt: OptLevel, precision: Precision) -> Output {
     Compiler::new(cfg).compile_str(src).expect("compiles")
 }
 
+/// Every endpoint component of an f64 interval.
+fn f64_bits(v: &F64I) -> Vec<u64> {
+    vec![v.lo().to_bits(), v.hi().to_bits()]
+}
+
+/// Every endpoint component of a dd interval, as `verify_bit_identity_dd`
+/// compares them.
+fn dd_bits(d: &DdI) -> Vec<u64> {
+    let (lo, hi) = (d.lo(), d.hi());
+    vec![lo.hi().to_bits(), lo.lo().to_bits(), hi.hi().to_bits(), hi.lo().to_bits()]
+}
+
+/// Runs `soa` plain and profiled at the default tile and at two groups
+/// per tile (13 items: several packed tiles plus the scalar tail) and
+/// asserts every output matches in every `bits` component.
+fn assert_profiled_matches_plain<B: SoaBatch>(
+    bp: &BatchProgram,
+    soa: &B,
+    unit: &str,
+    ctx: &str,
+    bits: fn(&B::Elem) -> Vec<u64>,
+) {
+    let n_sites = bp.program().insns.len();
+    let n_out = soa.len() / bp.program().n_inputs as usize * bp.program().outputs.len();
+    for tile in [0usize, 2] {
+        let cfg = BatchConfig::new().with_threads(1).with_seq_threshold(0).with_tile_groups(tile);
+        let plain = bp.run(&cfg, soa);
+        let mut prof = igen::telemetry::UnitProfiler::start(unit, n_sites);
+        let profiled = bp.run_profiled(&cfg, soa, &mut prof);
+        prof.finish();
+        assert_eq!(plain.len(), n_out, "{ctx} tile {tile}");
+        assert_eq!(profiled.len(), n_out, "{ctx} tile {tile}");
+        for i in 0..n_out {
+            assert_eq!(bits(&plain.get(i)), bits(&profiled.get(i)), "{ctx} tile {tile} value {i}");
+        }
+    }
+}
+
 /// Runs plain and profiled over the same batch and asserts every
 /// endpoint matches bit for bit. With telemetry compiled in (and
 /// recording turned on here) the profiled run records live samples; in
@@ -36,41 +75,22 @@ fn check_profiled_identity(src: &str, fn_name: &str, bind: &BindSpec, precision:
         let prog = compile_to_program(&out, fn_name, bind)
             .unwrap_or_else(|e| panic!("{fn_name} at {opt:?}: {e}"));
         let nin = prog.n_inputs as usize;
-        let n_sites = prog.insns.len();
         let items = 13usize;
         let mut rng = workload::rng(0x9e0f ^ opt as u64);
         let bp = BatchProgram::new(prog);
-        let cfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
         igen::telemetry::set_recording(true);
         let unit = format!("test.profile.{fn_name}.{opt:?}");
+        let ctx = format!("{fn_name} {opt:?}");
         match precision {
             Precision::Dd => {
                 let ivals = workload::dd_intervals_1ulp(&mut rng, items * nin, -2.0, 2.0);
                 let soa = BatchDdI::from_intervals(&ivals);
-                let plain = bp.run_dd(&cfg, &soa).to_intervals();
-                let mut prof = igen::telemetry::UnitProfiler::start(&unit, n_sites);
-                let profiled = bp.run_dd_profiled(&cfg, &soa, &mut prof).to_intervals();
-                prof.finish();
-                assert_eq!(plain.len(), profiled.len());
-                for (a, b) in plain.iter().zip(&profiled) {
-                    let (fa, fb) = (a.to_f64i(), b.to_f64i());
-                    assert_eq!(fa.lo().to_bits(), fb.lo().to_bits(), "{fn_name} {opt:?} dd lo");
-                    assert_eq!(fa.hi().to_bits(), fb.hi().to_bits(), "{fn_name} {opt:?} dd hi");
-                }
+                assert_profiled_matches_plain(&bp, &soa, &unit, &ctx, dd_bits);
             }
             _ => {
                 let pts = workload::random_points(&mut rng, items * nin, -2.0, 2.0);
-                let ivals = workload::intervals_1ulp(&pts);
-                let soa = BatchF64I::from_intervals(&ivals);
-                let plain = bp.run(&cfg, &soa).to_intervals();
-                let mut prof = igen::telemetry::UnitProfiler::start(&unit, n_sites);
-                let profiled = bp.run_profiled(&cfg, &soa, &mut prof).to_intervals();
-                prof.finish();
-                assert_eq!(plain.len(), profiled.len());
-                for (a, b) in plain.iter().zip(&profiled) {
-                    assert_eq!(a.lo().to_bits(), b.lo().to_bits(), "{fn_name} {opt:?} lo");
-                    assert_eq!(a.hi().to_bits(), b.hi().to_bits(), "{fn_name} {opt:?} hi");
-                }
+                let soa = BatchF64I::from_intervals(&workload::intervals_1ulp(&pts));
+                assert_profiled_matches_plain(&bp, &soa, &unit, &ctx, f64_bits);
             }
         }
         igen::telemetry::set_recording(false);
