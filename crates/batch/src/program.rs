@@ -44,13 +44,15 @@ mod sealed {
 /// for `f64` programs, [`BatchDdI`] for `dd` programs. Sealed — the two
 /// precisions are the whole set. Its element and lane types select the
 /// program's prepared engine.
-pub trait SoaBatch: sealed::Sealed + Sized + Sync {
+pub trait SoaBatch: sealed::Sealed + Sized + Sync + PartialEq {
     /// The interval element.
     type Elem: VmElem + 'static;
     /// The packed four-lane vector of [`SoaBatch::Elem`].
     type Lane: LaneOrScalar<Self::Elem> + core::fmt::Debug + 'static;
     /// An empty batch with room for `n` intervals.
     fn with_capacity(n: usize) -> Self;
+    /// Columnizes a slice of intervals.
+    fn from_intervals(xs: &[Self::Elem]) -> Self;
     /// Number of intervals in the batch.
     fn len(&self) -> usize;
     /// True when the batch holds no intervals.
@@ -74,6 +76,9 @@ macro_rules! soa_batch {
             type Lane = $lane;
             fn with_capacity(n: usize) -> $batch {
                 $batch::with_capacity(n)
+            }
+            fn from_intervals(xs: &[$elem]) -> $batch {
+                $batch::from_intervals(xs)
             }
             fn len(&self) -> usize {
                 $batch::len(self)

@@ -509,161 +509,52 @@ impl Numeric for F32I {
     }
 }
 
-impl Numeric for NaiveI {
-    type Lane = NaiveI;
+/// Implements [`Numeric`] for the library-baseline intervals, which
+/// share the `point`/`new`/`lo`/`hi`/`sqrt`/`max_zero`/`certified_bits`
+/// API and have no packed lane type.
+macro_rules! baseline_numeric {
+    ($($t:ident),*) => {$(
+        impl Numeric for $t {
+            type Lane = $t;
 
-    fn from_f64(v: f64) -> NaiveI {
-        NaiveI::point(v)
-    }
-    fn from_f64_enclose(v: f64) -> NaiveI {
-        NaiveI::new(igen_round::next_down(v), igen_round::next_up(v))
-    }
-    fn sqrt_n(self) -> NaiveI {
-        self.sqrt()
-    }
-    fn abs_n(self) -> NaiveI {
-        let (l, h) = (self.lo(), self.hi());
-        if l >= 0.0 {
-            self
-        } else if h <= 0.0 {
-            NaiveI::new(-h, -l)
-        } else {
-            NaiveI::new(0.0, (-l).max(h))
+            fn from_f64(v: f64) -> $t {
+                $t::point(v)
+            }
+            fn from_f64_enclose(v: f64) -> $t {
+                $t::new(igen_round::next_down(v), igen_round::next_up(v))
+            }
+            fn sqrt_n(self) -> $t {
+                self.sqrt()
+            }
+            fn abs_n(self) -> $t {
+                let (l, h) = (self.lo(), self.hi());
+                if l >= 0.0 {
+                    self
+                } else if h <= 0.0 {
+                    $t::new(-h, -l)
+                } else {
+                    $t::new(0.0, (-l).max(h))
+                }
+            }
+            fn min_n(self, other: $t) -> $t {
+                $t::new(self.lo().min(other.lo()), self.hi().min(other.hi()))
+            }
+            fn max_n(self, other: $t) -> $t {
+                $t::new(self.lo().max(other.lo()), self.hi().max(other.hi()))
+            }
+            fn relu(self) -> $t {
+                self.max_zero()
+            }
+            fn mid_f64(&self) -> f64 {
+                0.5 * (self.lo() + self.hi())
+            }
+            fn certified_bits_n(&self) -> f64 {
+                self.certified_bits()
+            }
         }
-    }
-    fn min_n(self, other: NaiveI) -> NaiveI {
-        NaiveI::new(self.lo().min(other.lo()), self.hi().min(other.hi()))
-    }
-    fn max_n(self, other: NaiveI) -> NaiveI {
-        NaiveI::new(self.lo().max(other.lo()), self.hi().max(other.hi()))
-    }
-    fn relu(self) -> NaiveI {
-        self.max_zero()
-    }
-    fn mid_f64(&self) -> f64 {
-        0.5 * (self.lo() + self.hi())
-    }
-    fn certified_bits_n(&self) -> f64 {
-        self.certified_bits()
-    }
+    )*};
 }
-
-impl Numeric for BoostI {
-    type Lane = BoostI;
-
-    fn from_f64(v: f64) -> BoostI {
-        BoostI::point(v)
-    }
-    fn from_f64_enclose(v: f64) -> BoostI {
-        BoostI::new(igen_round::next_down(v), igen_round::next_up(v))
-    }
-    fn sqrt_n(self) -> BoostI {
-        self.sqrt()
-    }
-    fn abs_n(self) -> BoostI {
-        let (l, h) = (self.lo(), self.hi());
-        if l >= 0.0 {
-            self
-        } else if h <= 0.0 {
-            BoostI::new(-h, -l)
-        } else {
-            BoostI::new(0.0, (-l).max(h))
-        }
-    }
-    fn min_n(self, other: BoostI) -> BoostI {
-        BoostI::new(self.lo().min(other.lo()), self.hi().min(other.hi()))
-    }
-    fn max_n(self, other: BoostI) -> BoostI {
-        BoostI::new(self.lo().max(other.lo()), self.hi().max(other.hi()))
-    }
-    fn relu(self) -> BoostI {
-        self.max_zero()
-    }
-    fn mid_f64(&self) -> f64 {
-        0.5 * (self.lo() + self.hi())
-    }
-    fn certified_bits_n(&self) -> f64 {
-        self.certified_bits()
-    }
-}
-
-impl Numeric for FilibI {
-    type Lane = FilibI;
-
-    fn from_f64(v: f64) -> FilibI {
-        FilibI::point(v)
-    }
-    fn from_f64_enclose(v: f64) -> FilibI {
-        FilibI::new(igen_round::next_down(v), igen_round::next_up(v))
-    }
-    fn sqrt_n(self) -> FilibI {
-        self.sqrt()
-    }
-    fn abs_n(self) -> FilibI {
-        let (l, h) = (self.lo(), self.hi());
-        if l >= 0.0 {
-            self
-        } else if h <= 0.0 {
-            FilibI::new(-h, -l)
-        } else {
-            FilibI::new(0.0, (-l).max(h))
-        }
-    }
-    fn min_n(self, other: FilibI) -> FilibI {
-        FilibI::new(self.lo().min(other.lo()), self.hi().min(other.hi()))
-    }
-    fn max_n(self, other: FilibI) -> FilibI {
-        FilibI::new(self.lo().max(other.lo()), self.hi().max(other.hi()))
-    }
-    fn relu(self) -> FilibI {
-        self.max_zero()
-    }
-    fn mid_f64(&self) -> f64 {
-        0.5 * (self.lo() + self.hi())
-    }
-    fn certified_bits_n(&self) -> f64 {
-        self.certified_bits()
-    }
-}
-
-impl Numeric for GaolI {
-    type Lane = GaolI;
-
-    fn from_f64(v: f64) -> GaolI {
-        GaolI::point(v)
-    }
-    fn from_f64_enclose(v: f64) -> GaolI {
-        GaolI::new(igen_round::next_down(v), igen_round::next_up(v))
-    }
-    fn sqrt_n(self) -> GaolI {
-        self.sqrt()
-    }
-    fn abs_n(self) -> GaolI {
-        let (l, h) = (self.lo(), self.hi());
-        if l >= 0.0 {
-            self
-        } else if h <= 0.0 {
-            GaolI::new(-h, -l)
-        } else {
-            GaolI::new(0.0, (-l).max(h))
-        }
-    }
-    fn min_n(self, other: GaolI) -> GaolI {
-        GaolI::new(self.lo().min(other.lo()), self.hi().min(other.hi()))
-    }
-    fn max_n(self, other: GaolI) -> GaolI {
-        GaolI::new(self.lo().max(other.lo()), self.hi().max(other.hi()))
-    }
-    fn relu(self) -> GaolI {
-        self.max_zero()
-    }
-    fn mid_f64(&self) -> f64 {
-        0.5 * (self.lo() + self.hi())
-    }
-    fn certified_bits_n(&self) -> f64 {
-        self.certified_bits()
-    }
-}
+baseline_numeric!(NaiveI, BoostI, FilibI, GaolI);
 
 #[cfg(test)]
 mod tests {

@@ -8,13 +8,13 @@
 //! is what makes the compiled unit safe to cache and share across
 //! threads.
 
-use igen_batch::{BatchDdI, BatchF64I, BatchProgram};
+use igen_batch::{BatchDdI, BatchF64I, BatchProgram, SoaBatch};
 use igen_core::{
-    compile_to_program, compile_to_program_raw, verify_bit_identity, verify_bit_identity_dd,
-    CompileError, Compiler, Config, Output, Precision,
+    compile_to_program, compile_to_program_raw, verify_program, CompileError, Compiler, Config,
+    Output, Precision, RefElem,
 };
-use igen_kernels::workload;
-use igen_vm::{ArgBind, BindSpec};
+use igen_interval::{DdI, F64I};
+use igen_vm::{ArgBind, BindSpec, VmElem};
 use std::fmt;
 use std::sync::Arc;
 
@@ -242,18 +242,17 @@ fn self_check(
     bind: &BindSpec,
     precision: Precision,
 ) -> Result<(), String> {
-    let nin = prog.n_inputs as usize;
-    let mut rng = workload::rng(SELF_CHECK_SEED);
+    fn go<T: RefElem>(
+        out: &Output,
+        prog: &igen_vm::Program,
+        bind: &BindSpec,
+    ) -> Result<(), String> {
+        let items = T::workload(SELF_CHECK_SEED, SELF_CHECK_ITEMS * prog.n_inputs as usize);
+        verify_program(out, prog, bind, &items).map_err(|e| e.to_string())
+    }
     match precision {
-        Precision::Dd => {
-            let ivals = workload::dd_intervals_1ulp(&mut rng, SELF_CHECK_ITEMS * nin, -2.0, 2.0);
-            verify_bit_identity_dd(out, prog, bind, &ivals).map_err(|e| e.to_string())
-        }
-        _ => {
-            let pts = workload::random_points(&mut rng, SELF_CHECK_ITEMS * nin, -2.0, 2.0);
-            let ivals = workload::intervals_1ulp(&pts);
-            verify_bit_identity(out, prog, bind, &ivals).map_err(|e| e.to_string())
-        }
+        Precision::Dd => go::<DdI>(out, prog, bind),
+        _ => go::<F64I>(out, prog, bind),
     }
 }
 
@@ -297,22 +296,20 @@ pub fn compile_uncached(req: &CompileRequest, verify: bool) -> Result<CompiledUn
     Ok(CompiledUnit { out, fn_name, bind, batch: BatchProgram::new(prog) })
 }
 
-/// Deterministic f64 workload for `items` batch items of `unit` (the
+/// Deterministic workload for `items` batch items of `unit`: the
 /// generator `igen-cli run` uses, shared so the service's seeded runs
-/// and the CLI produce identical inputs for identical seeds).
-pub fn workload_f64(unit: &CompiledUnit, items: usize, seed: u64) -> BatchF64I {
-    let mut rng = workload::rng(seed);
-    let pts = workload::random_points(&mut rng, items * unit.n_inputs(), -2.0, 2.0);
-    BatchF64I::from_intervals(&workload::intervals_1ulp(&pts))
+/// and the CLI produce identical inputs for identical seeds.
+pub(crate) fn workload<B: SoaBatch>(unit: &CompiledUnit, items: usize, seed: u64) -> B {
+    B::from_intervals(&B::Elem::workload(seed, items * unit.n_inputs()))
 }
 
-/// Deterministic double-double workload for `items` batch items.
+/// The seeded workload at `f64`; the `perfbench/` client calls it.
+pub fn workload_f64(unit: &CompiledUnit, items: usize, seed: u64) -> BatchF64I {
+    workload(unit, items, seed)
+}
+
+/// The seeded workload at double-double; the `perfbench/` client calls
+/// it.
 pub fn workload_dd(unit: &CompiledUnit, items: usize, seed: u64) -> BatchDdI {
-    let mut rng = workload::rng(seed);
-    BatchDdI::from_intervals(&workload::dd_intervals_1ulp(
-        &mut rng,
-        items * unit.n_inputs(),
-        -2.0,
-        2.0,
-    ))
+    workload(unit, items, seed)
 }

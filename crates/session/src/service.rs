@@ -50,13 +50,14 @@
 //! error line `internal error`; the worker that ran it goes on to the
 //! next job, and `metrics` counts it as `igen_session_worker_panics`.
 
-use crate::pipeline::{workload_dd, workload_f64, BindRequest, CompileRequest};
+use crate::pipeline::{workload, BindRequest, CompileRequest, CompiledUnit};
 use crate::Session;
-use igen_batch::{available_threads, BatchConfig, BatchDdI, BatchF64I};
+use igen_batch::{available_threads, BatchConfig, BatchDdI, BatchF64I, SoaBatch};
 use igen_core::{Config, OptLevel, Precision};
-use igen_interval::{DdI, F64I};
+use igen_interval::F64I;
 use igen_telemetry::json::{self, Json};
-use igen_telemetry::Counter;
+use igen_telemetry::{Counter, UnitProfiler};
+use igen_vm::VmElem;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,6 +75,12 @@ static PROFILE_LOCK: Mutex<()> = Mutex::new(());
 /// Hard ceiling on per-request batch sizes (a service must not let one
 /// request allocate unbounded memory).
 const MAX_BATCH: u64 = 1 << 20;
+
+/// Hard ceiling on a `run`/`profile` request's input intervals (items ×
+/// inputs per item) and, separately, its output intervals: one
+/// double-double copy of that many intervals is 32 MiB, so no request
+/// can make a worker allocate without bound through its batch shape.
+const MAX_INTERVALS: u64 = 1 << 20;
 
 /// Hard ceiling on a `run` request's `"tile"` (packed groups per
 /// executor tile): 8× the default, past the 4–16 range measured flat. A
@@ -425,35 +432,51 @@ fn handle_compile(session: &Session, body: &Json) -> Result<String, String> {
 fn handle_run(session: &Session, body: &Json) -> Result<String, String> {
     let req = compile_request("run", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
+    match req.cfg.precision {
+        Precision::Dd => run_batch::<BatchDdI>(&unit, body),
+        _ => run_batch::<BatchF64I>(&unit, body),
+    }
+}
+
+/// The `run` body at one precision: the explicit `"inputs"` (promoted
+/// exactly from their `[lo, hi]` pairs) or the seeded workload, run and
+/// rendered.
+fn run_batch<B: SoaBatch>(unit: &CompiledUnit, body: &Json) -> Result<String, String> {
     let bcfg = run_config(body)?;
-    let nin = unit.n_inputs();
     let (batch, seed) = seeded_batch(body)?;
-    let (items, outputs) = match req.cfg.precision {
-        Precision::Dd => {
-            let soa = match body.get("inputs") {
-                Some(v) => {
-                    let ivals: Vec<DdI> =
-                        parse_input_pairs(v, nin)?.iter().map(DdI::from_f64i).collect();
-                    BatchDdI::from_intervals(&ivals)
-                }
-                None => workload_dd(&unit, batch, seed),
-            };
-            let out = unit.batch.run(&bcfg, &soa);
-            (soa.len() / nin, render_dd_outputs(&out))
+    let nin = unit.n_inputs();
+    let soa: B = match body.get("inputs") {
+        Some(v) => {
+            let ivals: Vec<B::Elem> =
+                parse_input_pairs(v, nin)?.into_iter().map(B::Elem::promote).collect();
+            check_intervals(unit, ivals.len() / nin)?;
+            B::from_intervals(&ivals)
         }
-        _ => {
-            let soa = match body.get("inputs") {
-                Some(v) => BatchF64I::from_intervals(&parse_input_pairs(v, nin)?),
-                None => workload_f64(&unit, batch, seed),
-            };
-            let out = unit.batch.run(&bcfg, &soa);
-            (soa.len() / nin, render_f64_outputs(&out))
+        None => {
+            check_intervals(unit, batch)?;
+            workload(unit, batch, seed)
         }
     };
     Ok(format!(
-        "\"kind\":\"run\",\"fn\":{},\"items\":{items},\"outputs\":{outputs}",
+        "\"kind\":\"run\",\"fn\":{},\"items\":{},\"outputs\":{}",
         json::escape(&unit.fn_name),
+        soa.len() / nin,
+        render_outputs(&unit.batch.run(&bcfg, &soa)),
     ))
+}
+
+/// Rejects a `run`/`profile` batch whose input or output interval
+/// count (`items` × per-item count) passes [`MAX_INTERVALS`], before
+/// anything of that size is allocated.
+fn check_intervals(unit: &CompiledUnit, items: usize) -> Result<(), String> {
+    let per_item = unit.n_inputs().max(unit.n_outputs());
+    if items.saturating_mul(per_item) as u64 > MAX_INTERVALS {
+        return Err(format!(
+            "{items} items of {per_item} intervals exceed the batch limit of \
+             {MAX_INTERVALS} intervals"
+        ));
+    }
+    Ok(())
 }
 
 /// The batch configuration a `run` request asks for, with `"threads"`
@@ -472,8 +495,8 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
     let req = compile_request("profile", body)?;
     let unit = session.compile(&req).map_err(|e| e.to_string())?;
     let (batch, seed) = seeded_batch(body)?;
+    check_intervals(&unit, batch)?;
     let n_insns = unit.batch.program().insns.len();
-    let bcfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
 
     // The profile registry is global and accumulates across requests,
     // so diff this run's contribution under a lock and restore the
@@ -484,16 +507,10 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
     let before = igen_telemetry::snapshot().profiles;
     let was_recording = igen_telemetry::recording();
     igen_telemetry::set_recording(true);
-    let mut prof = igen_telemetry::UnitProfiler::start(&unit.fn_name, n_insns);
+    let mut prof = UnitProfiler::start(&unit.fn_name, n_insns);
     match req.cfg.precision {
-        Precision::Dd => {
-            let soa = workload_dd(&unit, batch, seed);
-            unit.batch.run_profiled(&bcfg, &soa, &mut prof);
-        }
-        _ => {
-            let soa = workload_f64(&unit, batch, seed);
-            unit.batch.run_profiled(&bcfg, &soa, &mut prof);
-        }
+        Precision::Dd => profile_batch::<BatchDdI>(&unit, batch, seed, &mut prof),
+        _ => profile_batch::<BatchF64I>(&unit, batch, seed, &mut prof),
     }
     prof.finish();
     igen_telemetry::set_recording(was_recording);
@@ -535,6 +552,17 @@ fn handle_profile(session: &Session, body: &Json) -> Result<String, String> {
         igen_telemetry::COMPILED_IN,
         sites.join(","),
     ))
+}
+
+/// The profiled run at one precision: the seeded workload, one thread.
+fn profile_batch<B: SoaBatch>(
+    unit: &CompiledUnit,
+    batch: usize,
+    seed: u64,
+    prof: &mut UnitProfiler,
+) {
+    let bcfg = BatchConfig::new().with_threads(1).with_seq_threshold(0);
+    unit.batch.run_profiled(&bcfg, &workload::<B>(unit, batch, seed), prof);
 }
 
 /// Builds the cache-keyed [`CompileRequest`] shared by the compile,
@@ -628,36 +656,20 @@ fn parse_input_pairs(v: &Json, nin: usize) -> Result<Vec<F64I>, String> {
         .collect()
 }
 
-fn render_f64_outputs(out: &BatchF64I) -> String {
+/// The output batch as JSON: each interval as its exact endpoint
+/// components ([`VmElem::parts`]) — `[lo, hi]` at f64 and
+/// `[lo.hi, lo.lo, hi.hi, hi.lo]` at double-double.
+fn render_outputs<B: SoaBatch>(out: &B) -> String {
     let mut s = String::from("[");
     for i in 0..out.len() {
         if i > 0 {
             s.push(',');
         }
-        let v = out.get(i);
-        s.push_str(&format!("[{},{}]", num(v.lo()), num(v.hi())));
-    }
-    s.push(']');
-    s
-}
-
-/// Double-double outputs carry each endpoint as its exact `[hi, lo]`
-/// component pair: `[lo.hi, lo.lo, hi.hi, hi.lo]` per interval.
-fn render_dd_outputs(out: &BatchDdI) -> String {
-    let mut s = String::from("[");
-    for i in 0..out.len() {
-        if i > 0 {
-            s.push(',');
+        for (k, &v) in out.get(i).parts().as_ref().iter().enumerate() {
+            s.push(if k == 0 { '[' } else { ',' });
+            s.push_str(&num(v));
         }
-        let v = out.get(i);
-        let (lo, hi) = (v.lo(), v.hi());
-        s.push_str(&format!(
-            "[{},{},{},{}]",
-            num(lo.hi()),
-            num(lo.lo()),
-            num(hi.hi()),
-            num(hi.lo())
-        ));
+        s.push(']');
     }
     s.push(']');
     s

@@ -1,5 +1,6 @@
 //! The element side of the bytecode executor: [`VmElem`] (what an
-//! interval element must provide to run bytecode), the one-item
+//! interval element must provide to run bytecode, plus the few facts
+//! that differ between the two precisions above the VM), the one-item
 //! convenience entry point [`run_scalar`], and the per-program width
 //! histograms. The loop itself is [`run_tile`]; at `L = T` it runs the
 //! scalar `F64I`/`DdI` operators, at `L = T::Lane` the packed
@@ -13,23 +14,37 @@
 use crate::bytecode::{PoolConst, Precision, Program};
 use crate::prepared::{run_tile, PreparedProgram, TileBank};
 use igen_interval::{DdI, F64I};
-use igen_kernels::Numeric;
+use igen_kernels::{workload, Numeric};
 use igen_telemetry::{Counter, WidthHist};
 
 /// Total body instructions retired by [`run_tile`] (one count per
 /// instruction per tile, independent of tile size and lane width).
 pub static VM_INSNS_EXECUTED: Counter = Counter::new("vm.insns_executed");
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::F64I {}
+    impl Sealed for super::DdI {}
+}
+
 /// An interval element the bytecode executor can run over: a
-/// [`Numeric`] type plus constant-pool decoding and the clamped
-/// integer power the `ia_pow_*` builtins implement.
-pub trait VmElem: Numeric {
+/// [`Numeric`] type plus constant-pool coding, the clamped integer
+/// power the `ia_pow_*` builtins implement, and every other fact that
+/// differs between the two precisions above the VM. Sealed: [`F64I`]
+/// and [`DdI`] are the whole set.
+pub trait VmElem: Numeric + sealed::Sealed {
     /// The bytecode precision this element executes.
     const PRECISION: Precision;
+
+    /// The exact endpoint components ([`VmElem::parts`]).
+    type Parts: AsRef<[f64]>;
 
     /// Decodes a pooled constant (exact: the pool stores full
     /// double-double components).
     fn from_const(c: &PoolConst) -> Self;
+
+    /// Encodes `self` exactly as a pool constant.
+    fn to_const(&self) -> PoolConst;
 
     /// Integer power, matching `ia_pow_f64`/`ia_pow_dd` bit for bit.
     fn powi_e(self, n: i32) -> Self;
@@ -37,15 +52,30 @@ pub trait VmElem: Numeric {
     /// Tightest enclosing f64 endpoint pair (for width telemetry and
     /// endpoint comparisons).
     fn endpoints_f64(&self) -> (f64, f64);
+
+    /// The exact endpoint components: `[lo, hi]` for [`F64I`],
+    /// `[lo.hi, lo.lo, hi.hi, hi.lo]` for [`DdI`].
+    fn parts(&self) -> Self::Parts;
+
+    /// Exact promotion of an `f64` interval.
+    fn promote(v: F64I) -> Self;
+
+    /// `n` seeded inputs on `[-2, 2)` from `workload::rng(seed)`, as the
+    /// paper's Section VII draws them for this precision.
+    fn workload(seed: u64, n: usize) -> Vec<Self>;
 }
 
 impl VmElem for F64I {
     const PRECISION: Precision = Precision::F64;
+    type Parts = [f64; 2];
 
     fn from_const(c: &PoolConst) -> F64I {
         // Same as `ia_set_f64(lo_hi, hi_hi)`; lowering guarantees an
         // ordered pair.
         F64I::new(c.lo_hi, c.hi_hi).expect("pool constant is ordered")
+    }
+    fn to_const(&self) -> PoolConst {
+        PoolConst::f64_pair(self.lo(), self.hi())
     }
     fn powi_e(self, n: i32) -> F64I {
         self.powi(n)
@@ -53,15 +83,29 @@ impl VmElem for F64I {
     fn endpoints_f64(&self) -> (f64, f64) {
         (self.lo(), self.hi())
     }
+    fn parts(&self) -> [f64; 2] {
+        [self.lo(), self.hi()]
+    }
+    fn promote(v: F64I) -> F64I {
+        v
+    }
+    fn workload(seed: u64, n: usize) -> Vec<F64I> {
+        workload::intervals_1ulp(&workload::random_points(&mut workload::rng(seed), n, -2.0, 2.0))
+    }
 }
 
 impl VmElem for DdI {
     const PRECISION: Precision = Precision::Dd;
+    type Parts = [f64; 4];
 
     fn from_const(c: &PoolConst) -> DdI {
         // Same as `ia_set_ddx(lo_hi, lo_lo, hi_hi, hi_lo)`.
         DdI::new(igen_dd::Dd::new(c.lo_hi, c.lo_lo), igen_dd::Dd::new(c.hi_hi, c.hi_lo))
             .expect("pool constant is ordered")
+    }
+    fn to_const(&self) -> PoolConst {
+        let [lo_hi, lo_lo, hi_hi, hi_lo] = self.parts();
+        PoolConst { lo_hi, lo_lo, hi_hi, hi_lo }
     }
     fn powi_e(self, n: i32) -> DdI {
         self.powi(n)
@@ -69,6 +113,16 @@ impl VmElem for DdI {
     fn endpoints_f64(&self) -> (f64, f64) {
         let f = self.to_f64i();
         (f.lo(), f.hi())
+    }
+    fn parts(&self) -> [f64; 4] {
+        let (lo, hi) = (self.lo(), self.hi());
+        [lo.hi(), lo.lo(), hi.hi(), hi.lo()]
+    }
+    fn promote(v: F64I) -> DdI {
+        DdI::from_f64i(&v)
+    }
+    fn workload(seed: u64, n: usize) -> Vec<DdI> {
+        workload::dd_intervals_1ulp(&mut workload::rng(seed), n, -2.0, 2.0)
     }
 }
 

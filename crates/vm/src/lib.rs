@@ -27,6 +27,8 @@ pub mod prepared;
 
 pub use bytecode::{DebugMap, Insn, OutputSlot, PoolConst, Precision, Program, SrcLoc};
 pub use exec::{program_width_hist, run_scalar, VmElem};
-pub use lower::{lower, ArgBind, BindSpec, LowerError, DEFAULT_STEP_BUDGET, MAX_INSNS};
+pub use lower::{
+    lower, ArgBind, BindSpec, LowerError, DEFAULT_STEP_BUDGET, MAX_BINDING_CELLS, MAX_INSNS,
+};
 pub use peephole::{peephole, PeepholeStats};
 pub use prepared::{run_tile, run_tile_profiled, PreparedProgram, TileBank, DEFAULT_TILE_GROUPS};

@@ -21,9 +21,10 @@
 //! functions.
 
 use crate::bytecode::{DebugMap, Insn, OutputSlot, PoolConst, Precision, Program, SrcLoc};
+use crate::exec::VmElem;
 use igen_cfront::{AssignOp, BinOp, Loc, Type, UnOp};
 use igen_interval::capi;
-use igen_interval::{DdI, F64I};
+use igen_interval::DdI;
 use igen_ir::{IrExpr, IrFunction, IrStmt, OpKind, Sfx};
 use std::collections::HashMap;
 
@@ -35,6 +36,13 @@ pub const DEFAULT_STEP_BUDGET: u64 = 50_000_000;
 /// per-worker register file (`n_regs` tracks `insns` closely, and the
 /// packed register file costs 64 bytes per register).
 pub const MAX_INSNS: usize = 1 << 18;
+
+/// Hard cap on the array cells a binding declares (`In`, `InOut`,
+/// `Out` and `Uniform` lengths summed). Every cell costs a register, an
+/// input label or a pool constant before the first instruction is
+/// traced, so the cap is checked before anything is allocated; it
+/// equals [`MAX_INSNS`] because a larger binding could not lower anyway.
+pub const MAX_BINDING_CELLS: usize = MAX_INSNS;
 
 /// How one function parameter is bound when compiling to bytecode.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,6 +110,8 @@ pub enum LowerError {
     Budget,
     /// The program exceeds [`MAX_INSNS`].
     TooLarge(usize),
+    /// The binding declares more than [`MAX_BINDING_CELLS`] array cells.
+    BindingTooLarge(usize),
     /// Integer evaluation error (division by zero, bad shift).
     IntEval(String),
 }
@@ -127,6 +137,9 @@ impl core::fmt::Display for LowerError {
             LowerError::Budget => write!(f, "lowering step budget exhausted"),
             LowerError::TooLarge(n) => {
                 write!(f, "program too large: {n} instructions (max {MAX_INSNS})")
+            }
+            LowerError::BindingTooLarge(n) => {
+                write!(f, "binding too large: {n} array cells (max {MAX_BINDING_CELLS})")
             }
             LowerError::IntEval(msg) => write!(f, "integer evaluation: {msg}"),
         }
@@ -213,6 +226,17 @@ pub fn lower(f: &IrFunction, bind: &BindSpec) -> Result<Program, LowerError> {
             f.params.len(),
             bind.args.len()
         )));
+    }
+
+    let cells = bind.args.iter().fold(0usize, |n, b| {
+        n.saturating_add(match b {
+            ArgBind::In(len) | ArgBind::InOut(len) | ArgBind::Out(len) => *len,
+            ArgBind::Uniform(pairs) => pairs.len(),
+            ArgBind::Ival | ArgBind::Int(_) => 0,
+        })
+    });
+    if cells > MAX_BINDING_CELLS {
+        return Err(LowerError::BindingTooLarge(cells));
     }
 
     // Bind parameters: interval scalars and in/inout array cells become
@@ -464,16 +488,8 @@ impl Lowerer {
         Ok(dst)
     }
 
-    fn f64i_const(&mut self, v: &F64I, loc: SrcLoc) -> Result<u32, LowerError> {
-        self.konst(PoolConst::f64_pair(v.lo(), v.hi()), loc)
-    }
-
-    fn ddi_const(&mut self, v: &DdI, loc: SrcLoc) -> Result<u32, LowerError> {
-        let (lo, hi) = (v.lo(), v.hi());
-        self.konst(
-            PoolConst { lo_hi: lo.hi(), lo_lo: lo.lo(), hi_hi: hi.hi(), hi_lo: hi.lo() },
-            loc,
-        )
+    fn ival_const<T: VmElem>(&mut self, v: T, loc: SrcLoc) -> Result<u32, LowerError> {
+        self.konst(v.to_const(), loc)
     }
 
     // --- variable environment -------------------------------------------
@@ -518,19 +534,13 @@ impl Lowerer {
         }
         if let Some(pairs) = &self.arrays[arr].uniform {
             let (lo, hi) = pairs[i];
-            // Uniform cells have no single source expression; their
-            // `Const` carries an unknown site.
+            // Uniform cells have no single source expression, so their
+            // `Const` carries an unknown site. The pairs promote exactly
+            // like the interp reference: a full-width f64 interval.
+            let v = capi::ia_set_f64(lo, hi);
             let r = match self.precision {
-                Precision::F64 => {
-                    let v = capi::ia_set_f64(lo, hi);
-                    self.f64i_const(&v, SrcLoc::default())?
-                }
-                Precision::Dd => {
-                    // Uniform pairs promote exactly like the interp
-                    // reference: a full-width f64 interval.
-                    let v = DdI::from_f64i(&capi::ia_set_f64(lo, hi));
-                    self.ddi_const(&v, SrcLoc::default())?
-                }
+                Precision::F64 => self.ival_const(v, SrcLoc::default())?,
+                Precision::Dd => self.ival_const(DdI::promote(v), SrcLoc::default())?,
             };
             self.arrays[arr].cells[i] = Some(r);
             return Ok(r);
@@ -713,14 +723,8 @@ impl Lowerer {
                     return Err(LowerError::Unsupported(format!("inverted set [{lo}, {hi}]")));
                 }
                 let r = match self.precision {
-                    Precision::F64 => {
-                        let v = capi::ia_set_f64(lo, hi);
-                        self.f64i_const(&v, loc)?
-                    }
-                    Precision::Dd => {
-                        let v = capi::ia_set_dd(lo, hi);
-                        self.ddi_const(&v, loc)?
-                    }
+                    Precision::F64 => self.ival_const(capi::ia_set_f64(lo, hi), loc)?,
+                    Precision::Dd => self.ival_const(capi::ia_set_dd(lo, hi), loc)?,
                 };
                 Ok(Av::Iv(r))
             }
@@ -732,8 +736,7 @@ impl Lowerer {
                 let lo_lo = self.float_arg(&args[1])?;
                 let hi_hi = self.float_arg(&args[2])?;
                 let hi_lo = self.float_arg(&args[3])?;
-                let v = capi::ia_set_ddx(lo_hi, lo_lo, hi_hi, hi_lo);
-                let r = self.ddi_const(&v, loc)?;
+                let r = self.ival_const(capi::ia_set_ddx(lo_hi, lo_lo, hi_hi, hi_lo), loc)?;
                 Ok(Av::Iv(r))
             }
             SetInt => {
@@ -742,14 +745,8 @@ impl Lowerer {
                     self.want_int(v, "set_int argument")?
                 };
                 let r = match self.precision {
-                    Precision::F64 => {
-                        let v = capi::ia_set_int_f64(n);
-                        self.f64i_const(&v, loc)?
-                    }
-                    Precision::Dd => {
-                        let v = capi::ia_set_int_dd(n);
-                        self.ddi_const(&v, loc)?
-                    }
+                    Precision::F64 => self.ival_const(capi::ia_set_int_f64(n), loc)?,
+                    Precision::Dd => self.ival_const(capi::ia_set_int_dd(n), loc)?,
                 };
                 Ok(Av::Iv(r))
             }

@@ -40,10 +40,14 @@
 //! more trace files — concatenated traces merge, so a compile trace and
 //! a run trace can be reported together.
 
-use igen::compiler::{BranchPolicy, Config, OptLevel, OutputVec, Precision};
-use igen::session::{compile_uncached, BindRequest, CompileRequest, Flags};
+use igen::batch::{BatchConfig, BatchDdI, BatchF64I, SoaBatch};
+use igen::compiler::{
+    verify_program, BranchPolicy, Config, OptLevel, OutputVec, Precision, RefElem,
+};
+use igen::session::{compile_uncached, BindRequest, CompileRequest, CompiledUnit, Flags};
+use igen::vm::VmElem;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// `--metrics` / `--trace-out` state shared by the compile and batch
 /// modes: turns recording on up front, then writes/prints on `finish`.
@@ -377,19 +381,157 @@ macro_rules! flag {
     };
 }
 
-/// Compiles `req` through the shared session pipeline, mapping
-/// [`igen::session::SessionError`] onto the CLI's historical exit
-/// codes: usage errors (bad `--fn`, missing `--arg`) exit 2,
-/// compile/lowering failures exit 1 — with byte-identical messages.
-fn compile_unit(req: &CompileRequest) -> Result<igen::session::CompiledUnit, ExitCode> {
-    match compile_uncached(req, false) {
-        Ok(unit) => Ok(unit),
-        Err(e) if e.is_usage() => Err(fail2(e.to_string())),
-        Err(e) => {
-            eprintln!("igen-cli: {e}");
-            Err(ExitCode::FAILURE)
+/// The flags `run` and `profile` share (see [`ExecArgs::parse`]).
+struct ExecArgs {
+    /// The input path.
+    input: String,
+    /// The compile request; its source is read by [`ExecArgs::load`].
+    req: CompileRequest,
+    batch: usize,
+    threads: usize,
+    seed: u64,
+    tile: usize,
+    trace_out: Option<String>,
+}
+
+impl ExecArgs {
+    /// Parses the shared flags of subcommand `sub` (`run` or
+    /// `profile`), handing every other dash argument to `extra`, which
+    /// returns whether it took it. Errors are the one-line exit-2
+    /// message, naming the subcommand.
+    fn parse(
+        sub: &str,
+        args: &[String],
+        threads: usize,
+        mut extra: impl FnMut(&str, &mut Flags) -> Result<bool, String>,
+    ) -> Result<ExecArgs, String> {
+        let mut input: Option<String> = None;
+        let mut req = CompileRequest::new("", "");
+        let (mut int_args, mut lens, mut size) = (Vec::new(), Vec::new(), 8usize);
+        let (mut batch, mut threads, mut seed, mut tile) = (64usize, threads, 0x16e0u64, 0usize);
+        let mut trace_out = None;
+        let mut f = Flags::new(args);
+        while let Some(a) = f.next() {
+            match a {
+                "--fn" => req.fn_name = Some(f.value("--fn", "a function name")?.to_string()),
+                "--batch" => batch = f.parse("--batch", "a count")?,
+                "--threads" => threads = f.parse("--threads", "a count")?,
+                "--size" => size = f.parse("--size", "a count")?,
+                "--seed" => seed = f.parse("--seed", "an integer")?,
+                "--opt-level" => {
+                    req.cfg.opt_level = match f.next() {
+                        Some("0") => OptLevel::O0,
+                        Some("1") => OptLevel::O1,
+                        Some("2") => OptLevel::O2,
+                        _ => return Err("--opt-level needs 0, 1 or 2".into()),
+                    };
+                }
+                "--precision" => {
+                    req.cfg.precision = match f.next() {
+                        Some("f64") => Precision::F64,
+                        Some("dd") => Precision::Dd,
+                        _ => return Err(format!("{sub} supports --precision f64 or dd")),
+                    };
+                }
+                "--arg" => int_args.push(f.pair("--arg", "name=integer")?),
+                "--len" => lens.push(f.pair("--len", "name=count")?),
+                "--no-peephole" => req.peephole = false,
+                "--tile" => tile = f.parse("--tile", "a group count")?,
+                "--trace-out" => trace_out = Some(f.value("--trace-out", "a path")?.to_string()),
+                "-h" | "--help" => usage(),
+                a if a.starts_with('-') => {
+                    if !extra(a, &mut f)? {
+                        return Err(format!("unknown {sub} option '{a}' (see igen-cli --help)"));
+                    }
+                }
+                a => {
+                    if input.replace(a.to_string()).is_some() {
+                        return Err(format!("{sub} takes one input file"));
+                    }
+                }
+            }
+        }
+        let Some(input) = input else {
+            return Err(format!("{sub} needs an input file (see igen-cli --help)"));
+        };
+        if batch == 0 {
+            return Err("--batch must be at least 1".into());
+        }
+        req.bind = BindRequest::FromParams { int_args, lens, size };
+        Ok(ExecArgs { input, req, batch, threads, seed, tile, trace_out })
+    }
+
+    /// Reads the input and compiles it through the shared session
+    /// pipeline, mapping [`igen::session::SessionError`] onto the CLI's
+    /// exit codes: usage errors (bad `--fn`, missing `--arg`) exit 2,
+    /// compile/lowering failures exit 1. Returns the source text too.
+    fn load(&mut self) -> Result<(String, CompiledUnit), ExitCode> {
+        let src = std::fs::read_to_string(&self.input)
+            .map_err(|e| fail2(format!("cannot read {}: {e}", self.input)))?;
+        self.req.source = src.as_str().into();
+        self.req.origin = self.input.clone();
+        match compile_uncached(&self.req, false) {
+            Ok(unit) => Ok((src, unit)),
+            Err(e) if e.is_usage() => Err(fail2(e.to_string())),
+            Err(e) => {
+                eprintln!("igen-cli: {e}");
+                Err(ExitCode::FAILURE)
+            }
         }
     }
+}
+
+/// The body `run` and `profile` share, at one precision: the seeded
+/// batch, checked against the differential interpreter on its first
+/// `min(batch, 8)` items, then run at one thread and at `--threads`
+/// (and for `profile` once more, profiled, at one thread). Every run
+/// must give the same bits; a failure is reported and exits 1. Returns
+/// the checked item count, the effective thread count and the two run
+/// times.
+fn exec<B: SoaBatch>(
+    a: &ExecArgs,
+    unit: &CompiledUnit,
+    profile: bool,
+) -> Result<(usize, usize, Duration, Duration), ExitCode>
+where
+    B::Elem: RefElem,
+{
+    let nin = unit.n_inputs();
+    let ivals = B::Elem::workload(a.seed, a.batch * nin);
+    let check_items = a.batch.min(8);
+    let prefix = &ivals[..check_items * nin];
+    if let Err(e) = verify_program(&unit.out, unit.batch.program(), &unit.bind, prefix) {
+        eprintln!("igen-cli: {}: {e}", unit.fn_name);
+        return Err(ExitCode::FAILURE);
+    }
+    let soa = B::from_intervals(&ivals);
+    let cfg = |threads| {
+        BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(a.tile)
+    };
+    let (seq, par) = (cfg(1), cfg(a.threads));
+    let t = Instant::now();
+    let one = unit.batch.run(&seq, &soa);
+    let t1 = t.elapsed();
+    let t = Instant::now();
+    let many = unit.batch.run(&par, &soa);
+    let tn = t.elapsed();
+    let mut same = one == many;
+    let diverged = if profile {
+        igen::telemetry::set_recording(true);
+        let n_insns = unit.batch.program().insns.len();
+        let mut prof = igen::telemetry::UnitProfiler::start(&unit.fn_name, n_insns);
+        same &= one == unit.batch.run_profiled(&seq, &soa, &mut prof);
+        prof.finish();
+        igen::telemetry::set_recording(false);
+        "profiled run diverged from the unprofiled run"
+    } else {
+        "batched result diverged from the single-thread path"
+    };
+    if !same {
+        eprintln!("igen-cli: {diverged}");
+        return Err(ExitCode::FAILURE);
+    }
+    Ok((check_items, par.threads(), t1, tn))
 }
 
 /// `igen-cli run <input.c>`: compiles one function into register
@@ -398,86 +540,22 @@ fn compile_unit(req: &CompileRequest) -> Result<igen::session::CompiledUnit, Exi
 /// result against both the single-thread run and the differential
 /// interpreter before reporting throughput.
 fn run_run(args: &[String]) -> ExitCode {
-    use igen::batch::{BatchConfig, BatchDdI, BatchF64I};
-    use igen::kernels::workload;
-
-    let mut input: Option<String> = None;
-    let mut fn_name: Option<String> = None;
-    let mut batch = 64usize;
-    let mut threads = 0usize; // 0 = all cores
-    let mut size = 8usize;
-    let mut seed = 0x16e0u64;
-    let mut emit_bytecode = false;
-    let mut no_peephole = false;
-    let mut tile = 0usize; // 0 = default tile size
-    let mut metrics = false;
-    let mut trace_out: Option<String> = None;
-    let mut cfg = Config { opt_level: OptLevel::O2, ..Config::default() };
-    let mut int_args: Vec<(String, i64)> = Vec::new();
-    let mut lens: Vec<(String, usize)> = Vec::new();
-
-    let mut f = Flags::new(args);
-    while let Some(a) = f.next() {
+    let (mut emit_bytecode, mut metrics) = (false, false);
+    let parsed = ExecArgs::parse("run", args, 0, |a, _| {
         match a {
-            "--fn" => fn_name = Some(flag!(f.value("--fn", "a function name")).to_string()),
-            "--batch" => batch = flag!(f.parse("--batch", "a count")),
-            "--threads" => threads = flag!(f.parse("--threads", "a count")),
-            "--size" => size = flag!(f.parse("--size", "a count")),
-            "--seed" => seed = flag!(f.parse("--seed", "an integer")),
-            "--opt-level" => {
-                cfg.opt_level = match f.next() {
-                    Some("0") => OptLevel::O0,
-                    Some("1") => OptLevel::O1,
-                    Some("2") => OptLevel::O2,
-                    _ => return fail2("--opt-level needs 0, 1 or 2".into()),
-                };
-            }
-            "--precision" => {
-                cfg.precision = match f.next() {
-                    Some("f64") => Precision::F64,
-                    Some("dd") => Precision::Dd,
-                    _ => return fail2("run supports --precision f64 or dd".into()),
-                };
-            }
-            "--arg" => int_args.push(flag!(f.pair("--arg", "name=integer"))),
-            "--len" => lens.push(flag!(f.pair("--len", "name=count"))),
             "--emit-bytecode" => emit_bytecode = true,
-            "--no-peephole" => no_peephole = true,
-            "--tile" => tile = flag!(f.parse("--tile", "a group count")),
             "--metrics" => metrics = true,
-            "--trace-out" => trace_out = Some(flag!(f.value("--trace-out", "a path")).to_string()),
-            "-h" | "--help" => usage(),
-            a if a.starts_with('-') => {
-                return fail2(format!("unknown run option '{a}' (see igen-cli --help)"));
-            }
-            a => {
-                if input.replace(a.to_string()).is_some() {
-                    return fail2("run takes one input file".into());
-                }
-            }
+            _ => return Ok(false),
         }
-    }
-    let Some(input) = input else {
-        return fail2("run needs an input file (see igen-cli --help)".into());
+        Ok(true)
+    });
+    let mut a = match parsed {
+        Ok(a) => a,
+        Err(msg) => return fail2(msg),
     };
-    if batch == 0 {
-        return fail2("--batch must be at least 1".into());
-    }
-    let tel = Telemetry::start(metrics, trace_out);
-
-    let src = match std::fs::read_to_string(&input) {
-        Ok(s) => s,
-        Err(e) => return fail2(format!("cannot read {input}: {e}")),
-    };
-    let unit = match compile_unit(&CompileRequest {
-        source: src.into(),
-        origin: input.clone(),
-        fn_name,
-        cfg,
-        bind: BindRequest::FromParams { int_args, lens, size },
-        peephole: !no_peephole,
-    }) {
-        Ok(u) => u,
+    let tel = Telemetry::start(metrics, a.trace_out.take());
+    let unit = match a.load() {
+        Ok((_, u)) => u,
         Err(code) => return code,
     };
     // Either lowering path feeds --emit-bytecode the program that
@@ -485,70 +563,26 @@ fn run_run(args: &[String]) -> ExitCode {
     if emit_bytecode {
         print!("{}", unit.batch.program().dump());
     }
-    let fn_name = &unit.fn_name;
-    let nin = unit.n_inputs();
-    let nout = unit.n_outputs();
-    let n_insns = unit.batch.program().insns.len();
-    let check_items = batch.min(8);
-    let mut rng = workload::rng(seed);
-
-    // Execute: differential interpreter check on a prefix, then the
-    // 1-thread vs N-thread bit-identity run over the full batch.
-    let seq = BatchConfig::new().with_threads(1).with_seq_threshold(0).with_tile_groups(tile);
-    let par = BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
-    let (t1, tn, same) = match cfg.precision {
-        Precision::Dd => {
-            let ivals = workload::dd_intervals_1ulp(&mut rng, batch * nin, -2.0, 2.0);
-            if let Err(e) = igen::compiler::verify_bit_identity_dd(
-                &unit.out,
-                unit.batch.program(),
-                &unit.bind,
-                &ivals[..check_items * nin],
-            ) {
-                eprintln!("igen-cli: {fn_name}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let soa = BatchDdI::from_intervals(&ivals);
-            let t = Instant::now();
-            let a = unit.batch.run(&seq, &soa);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = unit.batch.run(&par, &soa);
-            (t1, t.elapsed(), a == b)
-        }
-        _ => {
-            let pts = workload::random_points(&mut rng, batch * nin, -2.0, 2.0);
-            let ivals = workload::intervals_1ulp(&pts);
-            if let Err(e) = igen::compiler::verify_bit_identity(
-                &unit.out,
-                unit.batch.program(),
-                &unit.bind,
-                &ivals[..check_items * nin],
-            ) {
-                eprintln!("igen-cli: {fn_name}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let soa = BatchF64I::from_intervals(&ivals);
-            let t = Instant::now();
-            let a = unit.batch.run(&seq, &soa);
-            let t1 = t.elapsed();
-            let t = Instant::now();
-            let b = unit.batch.run(&par, &soa);
-            (t1, t.elapsed(), a == b)
-        }
+    let ran = match a.req.cfg.precision {
+        Precision::Dd => exec::<BatchDdI>(&a, &unit, false),
+        _ => exec::<BatchF64I>(&a, &unit, false),
     };
-    if !same {
-        eprintln!("igen-cli: batched result diverged from the single-thread path");
-        return ExitCode::FAILURE;
-    }
-    let eff_threads = par.threads();
+    let (check_items, threads, t1, tn) = match ran {
+        Ok(r) => r,
+        Err(code) => return code,
+    };
     println!(
-        "{fn_name}: {n_insns} insns, {nin} inputs -> {nout} outputs per item\n\
-         batch={batch} threads={eff_threads}\n\
+        "{}: {} insns, {} inputs -> {} outputs per item\n\
+         batch={} threads={threads}\n\
          1 thread : {t1:>12.3?}\n\
-         {eff_threads} threads: {tn:>12.3?}  ({:.2}x)\n\
+         {threads} threads: {tn:>12.3?}  ({:.2}x)\n\
          differential interpreter check: ok ({check_items} items)\n\
          results bit-identical across thread counts: yes",
+        unit.fn_name,
+        unit.batch.program().insns.len(),
+        unit.n_inputs(),
+        unit.n_outputs(),
+        a.batch,
         t1.as_secs_f64() / tn.as_secs_f64(),
     );
     if let Err(code) = tel.finish() {
@@ -558,75 +592,25 @@ fn run_run(args: &[String]) -> ExitCode {
 }
 
 /// `igen-cli profile <input.c>`: compiles one function (again via the
-/// shared `igen-session` pipeline), runs it over a generated input
+/// shared `igen-session` pipeline), checks it against the differential
+/// interpreter exactly as `run` does, runs it over a generated input
 /// batch with per-instruction width-provenance profiling, verifies the
 /// profiled outputs are bit-identical to the unprofiled run (at 1
 /// thread and at `--threads`), and prints a blame report — the source
 /// sites costing the most time and amplifying enclosure width the most.
 fn run_profile(args: &[String]) -> ExitCode {
-    use igen::batch::{BatchConfig, BatchDdI, BatchF64I};
-    use igen::kernels::workload;
-
-    let mut input: Option<String> = None;
-    let mut fn_name: Option<String> = None;
-    let mut batch = 64usize;
-    let mut threads = 4usize;
-    let mut size = 8usize;
-    let mut seed = 0x16e0u64;
     let mut top = 8usize;
-    let mut no_peephole = false;
-    let mut tile = 0usize;
-    let mut trace_out: Option<String> = None;
-    let mut cfg = Config { opt_level: OptLevel::O2, ..Config::default() };
-    let mut int_args: Vec<(String, i64)> = Vec::new();
-    let mut lens: Vec<(String, usize)> = Vec::new();
-
-    let mut f = Flags::new(args);
-    while let Some(a) = f.next() {
-        match a {
-            "--fn" => fn_name = Some(flag!(f.value("--fn", "a function name")).to_string()),
-            "--batch" => batch = flag!(f.parse("--batch", "a count")),
-            "--threads" => threads = flag!(f.parse("--threads", "a count")),
-            "--size" => size = flag!(f.parse("--size", "a count")),
-            "--seed" => seed = flag!(f.parse("--seed", "an integer")),
-            "--top" => top = flag!(f.parse("--top", "a count")),
-            "--opt-level" => {
-                cfg.opt_level = match f.next() {
-                    Some("0") => OptLevel::O0,
-                    Some("1") => OptLevel::O1,
-                    Some("2") => OptLevel::O2,
-                    _ => return fail2("--opt-level needs 0, 1 or 2".into()),
-                };
-            }
-            "--precision" => {
-                cfg.precision = match f.next() {
-                    Some("f64") => Precision::F64,
-                    Some("dd") => Precision::Dd,
-                    _ => return fail2("profile supports --precision f64 or dd".into()),
-                };
-            }
-            "--arg" => int_args.push(flag!(f.pair("--arg", "name=integer"))),
-            "--len" => lens.push(flag!(f.pair("--len", "name=count"))),
-            "--no-peephole" => no_peephole = true,
-            "--tile" => tile = flag!(f.parse("--tile", "a group count")),
-            "--trace-out" => trace_out = Some(flag!(f.value("--trace-out", "a path")).to_string()),
-            "-h" | "--help" => usage(),
-            a if a.starts_with('-') => {
-                return fail2(format!("unknown profile option '{a}' (see igen-cli --help)"));
-            }
-            a => {
-                if input.replace(a.to_string()).is_some() {
-                    return fail2("profile takes one input file".into());
-                }
-            }
+    let parsed = ExecArgs::parse("profile", args, 4, |a, f| match a {
+        "--top" => {
+            top = f.parse("--top", "a count")?;
+            Ok(true)
         }
-    }
-    let Some(input) = input else {
-        return fail2("profile needs an input file (see igen-cli --help)".into());
+        _ => Ok(false),
+    });
+    let mut a = match parsed {
+        Ok(a) => a,
+        Err(msg) => return fail2(msg),
     };
-    if batch == 0 {
-        return fail2("--batch must be at least 1".into());
-    }
     if !igen::telemetry::COMPILED_IN {
         eprintln!(
             "igen-cli: note: built without the `telemetry` feature — \
@@ -634,83 +618,37 @@ fn run_profile(args: &[String]) -> ExitCode {
              (rebuild with `--features telemetry`)"
         );
     }
-
-    let src = match std::fs::read_to_string(&input) {
-        Ok(s) => s,
-        Err(e) => return fail2(format!("cannot read {input}: {e}")),
-    };
-    let unit = match compile_unit(&CompileRequest {
-        source: src.as_str().into(),
-        origin: input.clone(),
-        fn_name,
-        cfg,
-        bind: BindRequest::FromParams { int_args, lens, size },
-        peephole: !no_peephole,
-    }) {
-        Ok(u) => u,
+    let (src, unit) = match a.load() {
+        Ok(loaded) => loaded,
         Err(code) => return code,
     };
-    let fn_name = unit.fn_name.clone();
-    let prog = unit.batch.program();
-    let known_sites = prog.debug.sites.iter().filter(|s| s.is_known()).count();
-    let n_insns = prog.insns.len();
-    let nin = unit.n_inputs();
-    let mut rng = workload::rng(seed);
-
-    // Reference runs first (unprofiled, recording off): 1 thread and
-    // --threads; then the profiled sequential run, which must match
-    // both bit for bit.
-    let seq = BatchConfig::new().with_threads(1).with_seq_threshold(0).with_tile_groups(tile);
-    let par = BatchConfig::new().with_threads(threads).with_seq_threshold(0).with_tile_groups(tile);
-    let same = match cfg.precision {
-        Precision::Dd => {
-            let ivals = workload::dd_intervals_1ulp(&mut rng, batch * nin, -2.0, 2.0);
-            let soa = BatchDdI::from_intervals(&ivals);
-            let a = unit.batch.run(&seq, &soa);
-            let b = unit.batch.run(&par, &soa);
-            igen::telemetry::set_recording(true);
-            let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
-            let c = unit.batch.run_profiled(&seq, &soa, &mut prof);
-            prof.finish();
-            a == b && a == c
-        }
-        _ => {
-            let pts = workload::random_points(&mut rng, batch * nin, -2.0, 2.0);
-            let ivals = workload::intervals_1ulp(&pts);
-            let soa = BatchF64I::from_intervals(&ivals);
-            let a = unit.batch.run(&seq, &soa);
-            let b = unit.batch.run(&par, &soa);
-            igen::telemetry::set_recording(true);
-            let mut prof = igen::telemetry::UnitProfiler::start(&fn_name, n_insns);
-            let c = unit.batch.run_profiled(&seq, &soa, &mut prof);
-            prof.finish();
-            a == b && a == c
-        }
+    let ran = match a.req.cfg.precision {
+        Precision::Dd => exec::<BatchDdI>(&a, &unit, true),
+        _ => exec::<BatchF64I>(&a, &unit, true),
     };
-    igen::telemetry::set_recording(false);
-    if !same {
-        eprintln!("igen-cli: profiled run diverged from the unprofiled run");
-        return ExitCode::FAILURE;
+    if let Err(code) = ran {
+        return code;
     }
 
-    let snap = igen::telemetry::snapshot();
-    if let Some(path) = &trace_out {
-        if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
-            eprintln!("igen-cli: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
+    if let Err(code) = (Telemetry { metrics: false, trace_out: a.trace_out.take() }).finish() {
+        return code;
     }
-    let rows: Vec<_> = snap.profiles.iter().filter(|r| r.unit == fn_name).collect();
+    let fn_name = &unit.fn_name;
+    let snap = igen::telemetry::snapshot();
+    let rows: Vec<_> = snap.profiles.iter().filter(|r| &r.unit == fn_name).collect();
+    let prog = unit.batch.program();
     println!(
-        "{fn_name}: {n_insns} insns ({known_sites} with source locations), \
-         batch={batch}, profiled outputs bit-identical to unprofiled: yes"
+        "{fn_name}: {} insns ({} with source locations), \
+         batch={}, profiled outputs bit-identical to unprofiled: yes",
+        prog.insns.len(),
+        prog.debug.sites.iter().filter(|s| s.is_known()).count(),
+        a.batch,
     );
     if rows.is_empty() {
         println!("no profile recorded (telemetry not compiled in)");
         return ExitCode::SUCCESS;
     }
-    print!("{}", render_blame(&rows, &src, &input, top));
+    print!("{}", render_blame(&rows, &src, &a.input, top));
     ExitCode::SUCCESS
 }
 

@@ -375,3 +375,97 @@ fn emit_ir_and_dump_passes_go_to_stdout() {
         assert!(stdout.contains(pass), "missing {pass} in report:\n{stdout}");
     }
 }
+
+/// The Hénon source every pinned `run`/`profile` test executes.
+const HENON_SRC: &str = include_str!("../examples/henon.c");
+
+/// Runs `igen-cli <sub> henon.c --arg iterations=10 --batch 16 <extra>`
+/// in a fresh directory and returns (exit code, stdout lines, stderr).
+fn henon_subcommand(dir: &str, sub: &str, extra: &[&str]) -> (Option<i32>, Vec<String>, String) {
+    let dir = scratch(dir);
+    fs::write(dir.join("henon.c"), HENON_SRC).unwrap();
+    let mut args = vec![sub, "henon.c", "--arg", "iterations=10", "--batch", "16"];
+    args.extend_from_slice(extra);
+    let out = run_in(&dir, &args);
+    let stdout = String::from_utf8_lossy(&out.stdout).lines().map(str::to_string).collect();
+    (out.status.code(), stdout, String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn run_dd_prints_the_pinned_report() {
+    let (code, lines, stderr) =
+        henon_subcommand("cli_run_dd", "run", &["--precision", "dd", "--threads", "2"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    // Lines 2 and 3 are timings and are not pinned.
+    assert_eq!(lines.len(), 6, "{lines:?}");
+    assert_eq!(lines[0], "henon_map: 42 insns, 2 inputs -> 1 outputs per item");
+    assert_eq!(lines[1], "batch=16 threads=2");
+    assert!(lines[2].starts_with("1 thread :"), "{lines:?}");
+    assert!(lines[3].starts_with("2 threads:"), "{lines:?}");
+    assert_eq!(lines[4], "differential interpreter check: ok (8 items)");
+    assert_eq!(lines[5], "results bit-identical across thread counts: yes");
+}
+
+#[test]
+fn profile_prints_the_pinned_header_at_both_precisions() {
+    for (dir, precision) in [("cli_profile_f64", "f64"), ("cli_profile_dd", "dd")] {
+        let (code, lines, stderr) =
+            henon_subcommand(dir, "profile", &["--precision", precision, "--threads", "2"]);
+        assert_eq!(code, Some(0), "{precision}: {stderr}");
+        assert_eq!(
+            lines[0],
+            "henon_map: 42 insns (39 with source locations), batch=16, \
+             profiled outputs bit-identical to unprofiled: yes",
+            "{precision}"
+        );
+        if cfg!(feature = "telemetry") {
+            assert_eq!(lines[1], "hot sites by time:", "{precision}");
+        } else {
+            assert_eq!(lines[1..], ["no profile recorded (telemetry not compiled in)"]);
+            assert!(stderr.contains("no profile can be recorded"), "{stderr}");
+        }
+    }
+}
+
+#[test]
+fn run_and_profile_usage_errors_name_their_subcommand() {
+    for sub in ["run", "profile"] {
+        let (code, _, stderr) = henon_subcommand("cli_exec_usage", sub, &["--precision", "f32"]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("{sub} supports --precision f64 or dd")), "{stderr}");
+        let (code, _, stderr) = henon_subcommand("cli_exec_usage", sub, &["--bogus"]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("unknown {sub} option '--bogus'")), "{stderr}");
+        let (code, _, stderr) = henon_subcommand("cli_exec_usage", sub, &["other.c"]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("{sub} takes one input file")), "{stderr}");
+        let (code, _, stderr) = henon_subcommand("cli_exec_usage", sub, &["--batch", "0"]);
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.contains("--batch must be at least 1"), "{stderr}");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn run_with_an_oversized_binding_is_a_structured_error() {
+    let dir = scratch("cli_run_big");
+    fs::write(dir.join("big.c"), "double f(double* x){return x[0];}").unwrap();
+    // Under a 2 GB address-space limit: allocating by the requested
+    // size would abort rather than take real memory.
+    let out = Command::new("sh")
+        .current_dir(&dir)
+        .args(["-c", "ulimit -v 2000000 && exec \"$0\" run big.c --size 1099511627776"])
+        .arg(env!("CARGO_BIN_EXE_igen-cli"))
+        .output()
+        .expect("spawn igen-cli");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.trim_end(),
+        format!(
+            "igen-cli: f: cannot compile to bytecode: binding too large: 1099511627776 array \
+             cells (max {})",
+            igen::vm::MAX_BINDING_CELLS
+        )
+    );
+}

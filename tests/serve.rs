@@ -27,9 +27,15 @@ const SQ: &str = r#"double sq(double x) { return x * x; }"#;
 /// Runs `igen-cli serve <args>` with the requests piped to stdin (then
 /// EOF), returning one response line per request in submission order.
 fn serve_session(args: &[&str], requests: &[String]) -> Vec<String> {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_igen-cli"))
-        .arg("serve")
-        .args(args)
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_igen-cli"));
+    cmd.arg("serve").args(args);
+    converse(cmd, requests)
+}
+
+/// Pipes `requests` into the serve command `cmd` (then EOF) and returns
+/// one response line per request.
+fn converse(mut cmd: Command, requests: &[String]) -> Vec<String> {
+    let mut child = cmd
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -241,4 +247,83 @@ fn run_answers_are_byte_identical_across_threads_and_tiles() {
             assert_eq!(resp, &responses[0], "{precision}: {req}");
         }
     }
+}
+
+/// `serve` under a 2 GB address-space limit (`ulimit -v`), so a request
+/// that tried to allocate by its size would abort the child instead of
+/// taking real memory; the requests must be answered without that.
+#[cfg(unix)]
+fn serve_capped(requests: &[String]) -> Vec<String> {
+    let mut cmd = Command::new("sh");
+    cmd.args(["-c", "ulimit -v 2000000 && exec \"$0\" serve", env!("CARGO_BIN_EXE_igen-cli")]);
+    converse(cmd, requests)
+}
+
+/// A binding of more array cells than lowering can ever use — by
+/// `"size"` or by `"lens"`, one cell past the cap or 2^40 cells — is a
+/// structured error before anything of that size is allocated, and the
+/// server answers the next request.
+#[cfg(unix)]
+#[test]
+fn oversized_bindings_are_structured_errors() {
+    const PTR: &str = "double f(double* x){return x[0];}";
+    let past_cap = igen::vm::MAX_BINDING_CELLS + 1;
+    let requests = vec![
+        format!(r#"{{"id":1,"kind":"compile","source":"{PTR}","size":{past_cap}}}"#),
+        format!(r#"{{"id":2,"kind":"compile","source":"{PTR}","size":1099511627776}}"#),
+        format!(r#"{{"id":3,"kind":"run","source":"{PTR}","lens":{{"x":1099511627776}}}}"#),
+        r#"{"id":4,"kind":"ping"}"#.to_string(),
+    ];
+    let responses = serve_capped(&requests);
+    let cap = igen::vm::MAX_BINDING_CELLS;
+    assert_eq!(
+        responses[0],
+        format!(
+            r#"{{"id":1,"ok":false,"error":"f: cannot compile to bytecode: binding too large: {past_cap} array cells (max {cap})"}}"#
+        )
+    );
+    for (id, resp) in [(2, &responses[1]), (3, &responses[2])] {
+        assert_eq!(
+            resp,
+            &format!(
+                r#"{{"id":{id},"ok":false,"error":"f: cannot compile to bytecode: binding too large: 1099511627776 array cells (max {cap})"}}"#
+            )
+        );
+    }
+    assert_eq!(responses[3], r#"{"id":4,"ok":true,"kind":"pong"}"#);
+}
+
+/// A `run` or `profile` whose batch needs more input or output
+/// intervals than the service's ceiling is a deterministic error naming
+/// the ceiling, and the server answers the next request.
+#[cfg(unix)]
+#[test]
+fn oversized_batches_are_structured_errors() {
+    const PTR: &str = "double f(double* x){return x[0];}";
+    let requests = vec![
+        format!(
+            r#"{{"id":1,"kind":"run","source":"{PTR}","lens":{{"x":100000}},"batch":1048576}}"#
+        ),
+        format!(
+            r#"{{"id":2,"kind":"profile","source":"{PTR}","precision":"dd","lens":{{"x":100000}},"batch":1048576}}"#
+        ),
+        format!(r#"{{"id":3,"kind":"run","source":"{PTR}","lens":{{"x":1}},"batch":1048576}}"#),
+        r#"{"id":4,"kind":"ping"}"#.to_string(),
+    ];
+    let responses = serve_capped(&requests);
+    let limit = "exceed the batch limit of 1048576 intervals";
+    assert_eq!(
+        responses[0],
+        format!(r#"{{"id":1,"ok":false,"error":"1048576 items of 100001 intervals {limit}"}}"#)
+    );
+    assert_eq!(
+        responses[1],
+        format!(r#"{{"id":2,"ok":false,"error":"1048576 items of 100001 intervals {limit}"}}"#)
+    );
+    // One input but two outputs (`return` and `x[0]`) per item.
+    assert_eq!(
+        responses[2],
+        format!(r#"{{"id":3,"ok":false,"error":"1048576 items of 2 intervals {limit}"}}"#)
+    );
+    assert_eq!(responses[3], r#"{"id":4,"ok":true,"kind":"pong"}"#);
 }
